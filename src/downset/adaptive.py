@@ -7,12 +7,16 @@ predicate is evaluated in logarithm space with exact integer arithmetic:
 ``k * ceil(log2 k) <= floor(log2 m)`` and ``n <= 2^m``.
 
 This module also provides the uniform dispatch table used by the CLI and
-the parity solver to run any operation through a named backend.
+the parity solver to run any operation through a named backend: the list,
+k-d tree and sharing-tree backends share ``core.union`` and
+``core.intersect`` over their index modules; the covering sharing tree keeps
+its graph operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from . import cst as _cst
@@ -20,11 +24,13 @@ from . import kdtree as _kd
 from . import sharingtree as _st
 from .core import (
     Antichain,
-    DimensionMismatch,
     Stats,
     Vector,
+    intersect,
     intersect_list,
+    member,
     member_list,
+    union,
     union_list,
 )
 
@@ -53,42 +59,11 @@ def choose_backend(k: int, m: int, n: int) -> BackendChoice:
     return BackendChoice(kind, k, m, n)
 
 
-def _member_kd(ac: Antichain, u: Vector, stats: Optional[Stats] = None) -> bool:
-    if len(tuple(u)) != ac.dim:
-        raise DimensionMismatch(f"query has length {len(tuple(u))}, set has dimension {ac.dim}")
-    return _kd.member_kdtree(_kd.build_kdtree(ac), u, stats)
-
-
-def _member_st(ac: Antichain, u: Vector, stats: Optional[Stats] = None) -> bool:
-    return _st.member_st(_st.build_sharingtree(ac), u, stats)
-
-
-def _member_cst(ac: Antichain, u: Vector, stats: Optional[Stats] = None) -> bool:
-    tree = _cst.build_cst(ac.vectors, dim=ac.dim)
-    return _cst.member_cst(tree, u, stats)
-
-
-def _union_cst(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    out = _cst.union_cst(_cst.build_cst(a.vectors, dim=a.dim),
-                         _cst.build_cst(b.vectors, dim=b.dim), stats)
-    return _cst.maximal_elements(out)
-
-
-def _intersect_cst(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    out = _cst.intersect_cst(_cst.build_cst(a.vectors, dim=a.dim),
-                             _cst.build_cst(b.vectors, dim=b.dim), stats)
-    return _cst.maximal_elements(out)
-
-
 def member_adaptive(ac: Antichain, u: Vector, stats: Optional[Stats] = None,
                     force: Optional[str] = None) -> bool:
     kind = force or choose_backend(ac.dim, len(ac), len(ac)).kind
     if kind == "kdtree" and len(ac) > 0:
-        return _member_kd(ac, u, stats)
+        return member(_kd, ac, u, stats)
     return member_list(ac, u, stats)
 
 
@@ -97,7 +72,7 @@ def union_adaptive(a: Antichain, b: Antichain, stats: Optional[Stats] = None,
     m, n = sorted((len(a), len(b)))
     kind = force or choose_backend(a.dim, m, n).kind
     if kind == "kdtree" and m > 0:
-        return _kd.union_kdtree(a, b, stats)
+        return union(_kd, a, b, stats)
     return union_list(a, b, stats)
 
 
@@ -106,7 +81,7 @@ def intersect_adaptive(a: Antichain, b: Antichain, stats: Optional[Stats] = None
     m, n = sorted((len(a), len(b)))
     kind = force or choose_backend(a.dim, m, n).kind
     if kind == "kdtree" and m > 0:
-        return _kd.intersect_kdtree(a, b, stats)
+        return intersect(_kd, a, b, stats)
     return intersect_list(a, b, stats)
 
 
@@ -118,11 +93,16 @@ class BackendOps:
     intersect: object
 
 
+def _over_index(name: str, index) -> BackendOps:
+    """Set operations written once in ``core`` over a backend's index module."""
+    return BackendOps(name, partial(member, index), partial(union, index), partial(intersect, index))
+
+
 BACKENDS = {
     "list": BackendOps("list", member_list, union_list, intersect_list),
-    "kdtree": BackendOps("kdtree", _member_kd, _kd.union_kdtree, _kd.intersect_kdtree),
-    "sharingtree": BackendOps("sharingtree", _member_st, _st.union_st, _st.intersect_st),
-    "cst": BackendOps("cst", _member_cst, _union_cst, _intersect_cst),
+    "kdtree": _over_index("kdtree", _kd),
+    "sharingtree": _over_index("sharingtree", _st),
+    "cst": BackendOps("cst", partial(member, _cst), _cst.union, _cst.intersect),
     "adaptive": BackendOps("adaptive", member_adaptive, union_adaptive, intersect_adaptive),
 }
 

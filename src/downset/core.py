@@ -2,9 +2,10 @@
 
 A downward-closed set of natural vectors is represented by the antichain of
 its maximal elements.  This module provides the componentwise order, meets,
-the maximal-element reduction, and the plain list backend for membership,
-union and intersection.  The list backend doubles as the correctness oracle
-for every other backend in the package.
+the maximal-element reduction, and union and intersection written once over
+a backend's index (:class:`DownsetIndex`).  The list backend, whose index is
+the antichain itself, doubles as the correctness oracle for every other
+backend in the package.
 
 Vectors are plain tuples of non-negative ints.  Antichains are immutable
 after construction; only their operation counters mutate.  All query
@@ -15,7 +16,7 @@ concurrent readers never observe torn updates.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
 Vector = tuple  # tuple[int, ...]
 
@@ -135,14 +136,6 @@ def meet(u: Vector, v: Vector) -> Vector:
     return tuple(a if a < b else b for a, b in zip(u, v))
 
 
-def dominates(v: Vector, u: Vector) -> bool:
-    """True iff ``u <= v`` componentwise."""
-    for a, b in zip(u, v):
-        if a > b:
-            return False
-    return True
-
-
 def _max_of(vectors: Iterable[Vector], stats: Optional[Stats] = None) -> list:
     """Maximal elements of a vector collection, sorted ascending.
 
@@ -198,7 +191,7 @@ class Antichain:
             if len(v) != dim:
                 raise DimensionMismatch(f"expected dimension {dim}, got vector of length {len(v)}")
             for x in v:
-                if not isinstance(x, int) or x < 0:
+                if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                     raise ValueError(f"components must be natural numbers, got {x!r}")
         self.dim = dim
         self.vectors = tuple(_max_of(vecs))
@@ -290,51 +283,100 @@ def member_list(ac: Antichain, u: Vector, stats: Optional[Stats] = None) -> bool
     return found
 
 
-def _strictly_below_some(u: Vector, other: Antichain, stats: Optional[Stats]) -> bool:
-    for v in other.vectors:
+def strict_member_list(ac: Antichain, u: Vector, stats: Optional[Stats] = None) -> bool:
+    """Does some member strictly dominate ``u``?  Linear scan."""
+    for v in ac.vectors:
         if compare_counted(u, v, stats) is LESS:
             return True
     return False
 
 
-def union_list(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
+class DownsetIndex(Protocol):
+    """What a backend provides for :func:`union`, :func:`intersect` and
+    :func:`member`: an index ``build`` from an antichain, and ``member`` /
+    ``strict_member`` queries on it that count their work into ``stats``.
+
+    The backend modules ``kdtree``, ``sharingtree`` and (for membership)
+    ``cst`` are passed as the index themselves: the functions are looked up
+    on every call, so a wrapper installed on the module sees each build and
+    query.
+    """
+
+    def build(self, ac: Antichain): ...
+
+    def member(self, index, u: Vector, stats: Optional[Stats] = None) -> bool: ...
+
+    def strict_member(self, index, u: Vector, stats: Optional[Stats] = None) -> bool: ...
+
+
+class ListIndex:
+    """The list backend's index: the antichain is its own index."""
+
+    @staticmethod
+    def build(ac: Antichain) -> Antichain:
+        return ac
+
+    member = staticmethod(member_list)
+    strict_member = staticmethod(strict_member_list)
+
+
+def member(index: DownsetIndex, ac: Antichain, u: Vector,
+           stats: Optional[Stats] = None) -> bool:
+    """Membership of ``u`` through an index built for this one query."""
+    u = tuple(u)
+    if len(u) != ac.dim:
+        raise DimensionMismatch(f"query has length {len(u)}, set has dimension {ac.dim}")
+    return index.member(index.build(ac), u, stats)
+
+
+def union(index: DownsetIndex, a: Antichain, b: Antichain,
+          stats: Optional[Stats] = None) -> Antichain:
     """Union of downsets: members of either antichain not strictly dominated
-    by a member of the other, shared vectors kept once."""
+    by a member of the other, shared vectors kept once.
+
+    Each operand's index is built once and queried once per member of the
+    other operand.
+    """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
     tally = stats if stats is not None else a.stats
+    strict_member = index.strict_member
+    ia, ib = index.build(a), index.build(b)
     kept = set()
     for u in a.vectors:
-        if not _strictly_below_some(u, b, tally):
+        if not strict_member(ib, u, tally):
             kept.add(u)
     for v in b.vectors:
-        if not _strictly_below_some(v, a, tally):
+        if not strict_member(ia, v, tally):
             kept.add(v)
     return Antichain._from_maximal(a.dim, sorted(kept))
 
 
-def intersect_list(a: Antichain, b: Antichain, stats: Optional[Stats] = None,
-                   optimize: bool = True) -> Antichain:
+def intersect(index: DownsetIndex, a: Antichain, b: Antichain,
+              stats: Optional[Stats] = None, optimize: bool = True) -> Antichain:
     """Intersection of downsets via meets of member pairs.
 
     With ``optimize`` enabled, a member of one antichain that already lies in
     the other downset contributes only itself: all its meets are dominated by
-    it, so they are skipped.
+    it, so they are skipped.  The remaining meets are reduced by
+    :func:`_max_of`.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
     tally = stats if stats is not None else a.stats
     candidates: list = []
     if optimize:
+        member_of = index.member
+        ia, ib = index.build(a), index.build(b)
         a_rest = []
         for u in a.vectors:
-            if member_list(b, u, tally):
+            if member_of(ib, u, tally):
                 candidates.append(u)
             else:
                 a_rest.append(u)
         b_rest = []
         for v in b.vectors:
-            if member_list(a, v, tally):
+            if member_of(ia, v, tally):
                 candidates.append(v)
             else:
                 b_rest.append(v)
@@ -345,6 +387,17 @@ def intersect_list(a: Antichain, b: Antichain, stats: Optional[Stats] = None,
         for v in b_rest:
             candidates.append(tuple(x if x < y else y for x, y in zip(u, v)))
     return Antichain._from_maximal(a.dim, _max_of(candidates, tally))
+
+
+def union_list(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
+    """:func:`union` on the list backend."""
+    return union(ListIndex, a, b, stats)
+
+
+def intersect_list(a: Antichain, b: Antichain, stats: Optional[Stats] = None,
+                   optimize: bool = True) -> Antichain:
+    """:func:`intersect` on the list backend."""
+    return intersect(ListIndex, a, b, stats, optimize)
 
 
 # ---------------------------------------------------------------------------

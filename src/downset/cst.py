@@ -207,6 +207,7 @@ def _union_nodes(ns: CstNode, nt: CstNode, layer: int, k: int, memo: dict) -> Cs
 
 
 def union_cst(s: CSTree, t: CSTree, stats: Optional[Stats] = None) -> CSTree:
+    """Graph union; counts the simulation pairs it evaluated as comparisons."""
     if s.dim != t.dim:
         raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
     if s.empty:
@@ -215,6 +216,8 @@ def union_cst(s: CSTree, t: CSTree, stats: Optional[Stats] = None) -> CSTree:
         return CSTree(s.root, s.dim, s.empty)
     memo: dict = {}
     root = _union_nodes(s.root, t.root, 0, s.dim, memo)
+    if stats is not None:
+        stats.comparisons += len(memo)
     return CSTree(root, s.dim, False)
 
 
@@ -256,12 +259,16 @@ def _inter_nodes(ns: CstNode, nt: CstNode, layer: int, k: int, memo: dict):
 
 
 def intersect_cst(s: CSTree, t: CSTree, stats: Optional[Stats] = None) -> CSTree:
+    """Product intersection; counts the simulation pairs it evaluated as
+    comparisons."""
     if s.dim != t.dim:
         raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
     if s.empty or t.empty:
         return CSTree(CstNode(0, TOP, ()), s.dim, True)
     memo: dict = {}
     root = _inter_nodes(s.root, t.root, 0, s.dim, memo)
+    if stats is not None:
+        stats.comparisons += len(memo)
     if root is None:
         return CSTree(CstNode(0, TOP, ()), s.dim, True)
     return CSTree(root, s.dim, False)
@@ -276,6 +283,27 @@ def maximal_elements(tree: CSTree) -> Antichain:
     if not vectors:
         return Antichain((), dim=tree.dim)
     return maxac(vectors, dim=tree.dim)
+
+
+# The downset index protocol (core.DownsetIndex) of this backend, for
+# membership only: union and intersection are the graph operations.
+def build(ac: Antichain) -> CSTree:
+    return build_cst(ac.vectors, dim=ac.dim)
+
+
+member = member_cst
+
+
+def union(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
+    """Union of downsets: the graph union of the operands' trees, reduced to
+    its maximal elements."""
+    return maximal_elements(union_cst(build(a), build(b), stats))
+
+
+def intersect(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
+    """Intersection of downsets: the product of the operands' trees, reduced
+    to its maximal elements."""
+    return maximal_elements(intersect_cst(build(a), build(b), stats))
 
 
 def is_simulation_minimal(tree: CSTree) -> bool:

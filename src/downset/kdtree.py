@@ -136,8 +136,8 @@ def _build(vectors: list, depth: int, k: int):
 def build_kdtree(source):
     """Build a balanced tree from an antichain or a raw vector collection.
 
-    Raw collections (used for meet multisets) may contain duplicates and
-    comparable vectors; the leaves always reproduce the input exactly.
+    Raw collections may contain duplicates and comparable vectors; the
+    leaves always reproduce the input exactly.
     """
     if isinstance(source, Antichain):
         vectors = list(source.vectors)
@@ -274,43 +274,5 @@ def strict_member_kdtree(tree, u: Vector, stats: Optional[Stats] = None) -> bool
     return _run_query(tree, u, stats, strict=True)
 
 
-def union_kdtree(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    if not a.vectors:
-        return Antichain._from_maximal(b.dim, b.vectors)
-    if not b.vectors:
-        return Antichain._from_maximal(a.dim, a.vectors)
-    tree_a = build_kdtree(a)
-    tree_b = build_kdtree(b)
-    kept = set()
-    for u in a.vectors:
-        if not strict_member_kdtree(tree_b, u, stats):
-            kept.add(u)
-    for v in b.vectors:
-        if not strict_member_kdtree(tree_a, v, stats):
-            kept.add(v)
-    return Antichain._from_maximal(a.dim, sorted(kept))
-
-
-def intersect_kdtree(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
-    """Meets of all member pairs, pruned inside one tree over the multiset.
-
-    The meet collection may repeat vectors; equal copies do not strictly
-    dominate each other, so survivors are sorted lexicographically and
-    consecutive duplicates dropped.
-    """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    if not a.vectors or not b.vectors:
-        return Antichain((), dim=a.dim)
-    meets = [tuple(x if x < y else y for x, y in zip(u, v))
-             for u in a.vectors for v in b.vectors]
-    tree = build_kdtree(meets)
-    survivors = [w for w in meets if not strict_member_kdtree(tree, w, stats)]
-    survivors.sort()
-    out: list = []
-    for w in survivors:
-        if not out or out[-1] != w:
-            out.append(w)
-    return Antichain._from_maximal(a.dim, out)
+# The downset index protocol (core.DownsetIndex) of this backend.
+build, member, strict_member = build_kdtree, member_kdtree, strict_member_kdtree

@@ -61,13 +61,12 @@ class STree:
         self.table = table
 
 
-def _rank_table(vectors, dim: int):
-    return [sorted({v[i] for v in vectors}) for i in range(dim)]
+def _rank_table(vectors):
+    return [sorted(set(column)) for column in zip(*vectors)]
 
 
 def _rank_encode(vectors, table):
-    dim = len(table)
-    return [tuple(bisect_left(table[i], v[i]) for i in range(dim)) for v in vectors]
+    return [tuple(map(bisect_left, table, v)) for v in vectors]
 
 
 def compress(ac: Antichain):
@@ -80,9 +79,8 @@ def compress(ac: Antichain):
     """
     if not ac.vectors:
         raise ValueError("cannot compress an empty antichain")
-    table = _rank_table(ac.vectors, ac.dim)
-    compressed = _rank_encode(ac.vectors, table)
-    return Antichain._from_maximal(ac.dim, sorted(compressed)), table
+    table = _rank_table(ac.vectors)
+    return Antichain._from_maximal(ac.dim, _rank_encode(ac.vectors, table)), table
 
 
 def decompress(ac: Antichain, table) -> Antichain:
@@ -90,50 +88,54 @@ def decompress(ac: Antichain, table) -> Antichain:
     return Antichain._from_maximal(ac.dim, sorted(originals))
 
 
-def build_sharingtree(ac: Antichain, compress_mode: str = "auto") -> STree:
-    """Build the minimal layered DAG for an antichain.
-
-    ``compress_mode``: "auto" compresses when the max norm exceeds the
-    member count, "never" and "always" force the choice.
-    """
+def build_sharingtree(ac: Antichain) -> STree:
+    """Build the minimal layered DAG for an antichain, rank-compressed when
+    the max norm exceeds the member count."""
     dim = ac.dim
     if not ac.vectors:
         root = STNode(0, TOP, (), 0)
         return STree(root, dim, True, 1, 0, None)
     table = None
     vectors = ac.vectors
-    if compress_mode == "always" or (compress_mode == "auto" and ac.max_norm() > len(ac.vectors)):
-        cac, table = compress(ac)
-        vectors = cac.vectors
+    if ac.max_norm() > len(vectors):
+        # ranks are order-isomorphic per dimension, so the encoding stays sorted
+        table = _rank_table(vectors)
+        vectors = _rank_encode(vectors, table)
     return _build_tree(vectors, dim, table)
 
 
 def _build_tree(vectors, dim: int, table) -> STree:
-    caches = [dict() for _ in range(dim + 1)]
-    counter = [0]
+    """Bottom-up build over distinct vectors sorted ascending.
 
-    def make(layer: int, value, succs) -> STNode:
-        key = (value, tuple(s.uid for s in succs))
-        node = caches[layer].get(key)
-        if node is None:
-            node = STNode(layer, value, tuple(succs), counter[0])
-            counter[0] += 1
-            caches[layer][key] = node
-        return node
-
-    def rec(layer: int, value, vecs) -> STNode:
-        if layer == dim:
-            return make(dim, value, ())
-        buckets: dict = {}
-        for v in vecs:
-            buckets.setdefault(v[layer], []).append(v)
-        succs = [rec(layer + 1, val, buckets[val]) for val in sorted(buckets, reverse=True)]
-        return make(layer, value, succs)
-
-    root = rec(0, TOP, list(vectors))
-    node_count = sum(len(c) for c in caches)
-    edge_count = sum(len(n.succs) for c in caches for n in c.values())
-    return STree(root, dim, False, node_count, edge_count, table)
+    Reading the vectors in descending order makes siblings arrive in
+    decreasing value order.  ``pending[j]`` collects the children of the
+    open node at layer ``j``.  Once a vector is read, its nodes below the
+    prefix it shares with the next vector are complete: each is hash-consed
+    on (layer, value, successors), whose successors are canonical nodes
+    already, and appended to its parent's children.
+    """
+    nodes: dict = {}
+    pending: list = [[] for _ in range(dim)]
+    descending = vectors[::-1]
+    for i, v in enumerate(descending):
+        p = 0  # coordinates shared with the next vector
+        if i + 1 < len(descending):
+            while v[p] == descending[i + 1][p]:
+                p += 1
+        succs = ()
+        for j in range(dim, p, -1):
+            key = (j, v[j - 1], succs)
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = STNode(j, v[j - 1], succs, len(nodes))
+            children = pending[j - 1]
+            children.append(node)
+            if j - 1 > p:
+                succs = tuple(children)
+                children.clear()
+    root = STNode(0, TOP, tuple(pending[0]), len(nodes))
+    edge_count = len(root.succs) + sum(len(n.succs) for n in nodes.values())
+    return STree(root, dim, False, len(nodes) + 1, edge_count, table)
 
 
 def _thresholds(tree: STree, u: Vector):
@@ -216,15 +218,12 @@ def strict_member_st(tree: STree, u: Vector, stats: Optional[Stats] = None) -> b
     return result
 
 
-def iter_vectors(tree: STree, original: bool = True) -> Iterator[Vector]:
-    """All encoded vectors, in the DAG's depth-first order.
-
-    With ``original`` set and a compressed tree, ranks are mapped back to
-    the original values through the table.
-    """
+def iter_vectors(tree: STree) -> Iterator[Vector]:
+    """All encoded vectors, in the DAG's depth-first order; the ranks of a
+    compressed tree are mapped back to the original values."""
     if tree.empty:
         return
-    table = tree.table if original else None
+    table = tree.table
     k = tree.dim
     prefix: list = []
 
@@ -238,46 +237,6 @@ def iter_vectors(tree: STree, original: bool = True) -> Iterator[Vector]:
             prefix.pop()
 
     yield from walk(tree.root, 0)
-
-
-def union_st(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    if not a.vectors:
-        return Antichain._from_maximal(b.dim, b.vectors)
-    if not b.vectors:
-        return Antichain._from_maximal(a.dim, a.vectors)
-    tree_a = build_sharingtree(a)
-    tree_b = build_sharingtree(b)
-    kept = set()
-    for u in a.vectors:
-        if not strict_member_st(tree_b, u, stats):
-            kept.add(u)
-    for v in b.vectors:
-        if not strict_member_st(tree_a, v, stats):
-            kept.add(v)
-    return Antichain._from_maximal(a.dim, sorted(kept))
-
-
-def intersect_st(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
-    """Meets of member pairs, deduplicated by the tree build, then filtered
-    by strict domination within the same tree."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    if not a.vectors or not b.vectors:
-        return Antichain((), dim=a.dim)
-    meets = sorted({tuple(x if x < y else y for x, y in zip(u, v))
-                    for u in a.vectors for v in b.vectors})
-    max_norm = max(max(w) for w in meets)
-    if max_norm > len(meets):
-        table = _rank_table(meets, a.dim)
-        tree = _build_tree(_rank_encode(meets, table), a.dim, table)
-    else:
-        tree = _build_tree(meets, a.dim, None)
-    survivors = [w for w in iter_vectors(tree, original=True)
-                 if not strict_member_st(tree, w, stats)]
-    survivors.sort()
-    return Antichain._from_maximal(a.dim, survivors)
 
 
 def to_dot(tree) -> str:
@@ -304,3 +263,7 @@ def to_dot(tree) -> str:
             lines.append(f"  {seen[id(node)]} -> {seen[id(s)]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# The downset index protocol (core.DownsetIndex) of this backend.
+build, member, strict_member = build_sharingtree, member_st, strict_member_st

@@ -11,7 +11,7 @@ import random
 import time
 from math import comb
 
-from downset import member_list, union_list, intersect_list
+from downset import get_backend, member_list, union_list, intersect_list
 from downset.bench import BenchSpec, run_bench, run_membership_bench
 from downset.combinatorics import (
     check_middle_layer_conjecture,
@@ -29,12 +29,10 @@ from downset.cst import (
 )
 from downset.kdtree import (
     build_kdtree,
-    intersect_kdtree,
     member_kdtree,
     tree_height,
-    union_kdtree,
 )
-from downset.sharingtree import build_sharingtree, intersect_st, member_st, union_st
+from downset.sharingtree import build_sharingtree, member_st
 from downset.parity import (
     check_even_strategy,
     solve,
@@ -56,6 +54,7 @@ def test_criterion_1_cross_backend_equivalence():
     the maximal elements of its language.  Zero mismatches in < 5 min."""
     start = time.perf_counter()
     rng = random.Random(20240)
+    kd, st = get_backend("kdtree"), get_backend("sharingtree")
     queries = 0
     box_cases = 0
     for case in range(1000):
@@ -66,10 +65,10 @@ def test_criterion_1_cross_backend_equivalence():
 
         union_ref = union_list(a, b)
         inter_ref = intersect_list(a, b)
-        assert union_kdtree(a, b) == union_ref, f"case {case}: kdtree union"
-        assert union_st(a, b) == union_ref, f"case {case}: sharingtree union"
-        assert intersect_kdtree(a, b) == inter_ref, f"case {case}: kdtree intersection"
-        assert intersect_st(a, b) == inter_ref, f"case {case}: sharingtree intersection"
+        assert kd.union(a, b) == union_ref, f"case {case}: kdtree union"
+        assert st.union(a, b) == union_ref, f"case {case}: sharingtree union"
+        assert kd.intersect(a, b) == inter_ref, f"case {case}: kdtree intersection"
+        assert st.intersect(a, b) == inter_ref, f"case {case}: sharingtree intersection"
 
         tree = build_kdtree(a)
         stree = build_sharingtree(a)

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from downset import Antichain, choose_backend, member_list, union_list, intersect_list
+from downset import (
+    BACKEND_NAMES,
+    Antichain,
+    DimensionMismatch,
+    choose_backend,
+    intersect_list,
+    member_list,
+    union_list,
+)
 from downset.adaptive import (
     get_backend,
     intersect_adaptive,
@@ -64,6 +72,27 @@ def test_empty_operands():
     assert union_adaptive(empty, b) == b
     assert intersect_adaptive(empty, b) == empty
     assert member_adaptive(empty, (0, 0)) is False
+
+
+@pytest.mark.parametrize("name", BACKEND_NAMES)
+def test_every_backend_empty_operands_and_dimension_mismatch(name):
+    ops = get_backend(name)
+    empty = Antichain((), dim=2)
+    b = Antichain([(1, 1)])
+    assert ops.union(empty, b) == b
+    assert ops.union(b, empty) == b
+    assert ops.union(empty, empty) == empty
+    assert ops.intersect(empty, b) == empty
+    assert ops.intersect(b, empty) == empty
+    assert ops.member(empty, (0, 0)) is False
+    three = Antichain([(1, 1, 1)])
+    for ac in (b, empty):
+        with pytest.raises(DimensionMismatch):
+            ops.member(ac, (1, 1, 1))
+        with pytest.raises(DimensionMismatch):
+            ops.union(ac, three)
+        with pytest.raises(DimensionMismatch):
+            ops.intersect(ac, three)
 
 
 def test_backend_registry():

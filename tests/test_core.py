@@ -188,6 +188,22 @@ def test_antichain_construction_canonicalizes():
         Antichain([], dim=0)
     with pytest.raises(DimensionMismatch):
         Antichain([(1, 2), (1, 2, 3)])
+    with pytest.raises(ValueError):
+        Antichain([(True, 2)])
+
+
+def test_list_setop_comparison_counts_are_pinned():
+    # counts of the list backend on one seeded pair; they must not drift when
+    # the shared set operations change
+    rng = random.Random(2025)
+    a = rand_antichain(rng, 5, 30, 9)
+    b = rand_antichain(rng, 5, 30, 9)
+    for op, kwargs, expected in ((union_list, {}, 5754),
+                                 (intersect_list, {}, 6786),
+                                 (intersect_list, {"optimize": False}, 24734)):
+        s = Stats()
+        op(a, b, s, **kwargs)
+        assert s.comparisons == expected, (op.__name__, kwargs)
 
 
 def test_vector_set_format_round_trip():

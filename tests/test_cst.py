@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from downset import Antichain, intersect_list, union_list
+from downset import Antichain, Stats, intersect_list, union_list
 from downset.cst import (
     CstNode,
     build_cst,
@@ -99,6 +99,16 @@ def test_intersect_closure_examples():
     assert maximal_elements(same) == Antichain([(2, 0), (0, 2)])
     disjoint = intersect_cst(build_cst([(1, 0)]), build_cst([(0, 1)]))
     assert maximal_elements(disjoint) == Antichain([(0, 0)])
+
+
+def test_setops_count_simulation_checks():
+    # merging the roots puts (2, .) and (1, .) side by side: one sibling check
+    s = Stats()
+    union_cst(build_cst([(1, 1)]), build_cst([(2, 2)]), s)
+    assert s.comparisons > 0
+    s = Stats()
+    intersect_cst(build_cst([(2, 0), (0, 2)]), build_cst([(1, 1)]), s)
+    assert s.comparisons > 0
 
 
 def test_empty_operand_conventions():

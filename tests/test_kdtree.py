@@ -5,22 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from downset import Antichain, DimensionMismatch, Stats, member_list, union_list, intersect_list
+from downset import Antichain, DimensionMismatch, Stats, get_backend, member_list, union_list, intersect_list
 from downset.kdtree import (
     EMPTY_TREE,
     KdLeaf,
     KdSplit,
     build_kdtree,
-    intersect_kdtree,
     member_kdtree,
     prec_median,
     precedes,
     strict_member_kdtree,
     tree_height,
     tree_leaves,
-    union_kdtree,
 )
 from util import adversarial_vectors, rand_antichain
+
+KD = get_backend("kdtree")
 
 
 def test_precedes_examples():
@@ -153,23 +153,23 @@ def test_union_intersect_match_list_backend():
         k = rng.randint(1, 6)
         a = rand_antichain(rng, k, rng.randint(1, 25), 8)
         b = rand_antichain(rng, k, rng.randint(1, 25), 8)
-        assert union_kdtree(a, b) == union_list(a, b)
-        assert intersect_kdtree(a, b) == intersect_list(a, b)
+        assert KD.union(a, b) == union_list(a, b)
+        assert KD.intersect(a, b) == intersect_list(a, b)
 
 
 def test_union_intersect_empty_operands():
     a = Antichain([(2, 0), (0, 2)])
     empty = Antichain((), dim=2)
-    assert union_kdtree(a, empty) == a
-    assert union_kdtree(empty, a) == a
-    assert intersect_kdtree(a, empty) == empty
-    assert union_kdtree(a, a) == a
+    assert KD.union(a, empty) == a
+    assert KD.union(empty, a) == a
+    assert KD.intersect(a, empty) == empty
+    assert KD.union(a, a) == a
 
 
 def test_intersect_collapses_duplicate_meets():
     a = Antichain([(1, 1), (2, 0)])
     b = Antichain([(1, 1)])
-    assert intersect_kdtree(a, b).vectors == ((1, 1),)
+    assert KD.intersect(a, b).vectors == ((1, 1),)
 
 
 def test_adversarial_visit_scaling_small():

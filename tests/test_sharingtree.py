@@ -2,20 +2,20 @@ import random
 
 import pytest
 
-from downset import Antichain, DimensionMismatch, Stats, member_list, union_list, intersect_list
+from downset import Antichain, DimensionMismatch, Stats, get_backend, member_list, union_list, intersect_list
 from downset.sharingtree import (
     TOP,
     build_sharingtree,
     compress,
     decompress,
-    intersect_st,
     iter_vectors,
     member_st,
     strict_member_st,
     to_dot,
-    union_st,
 )
 from util import pair_family, rand_antichain
+
+ST = get_backend("sharingtree")
 
 
 def all_nodes(tree):
@@ -157,19 +157,27 @@ def test_union_intersect_match_list_backend():
         k = rng.randint(1, 6)
         a = rand_antichain(rng, k, rng.randint(1, 25), rng.randint(1, 8))
         b = rand_antichain(rng, k, rng.randint(1, 25), rng.randint(1, 8))
-        assert union_st(a, b) == union_list(a, b)
-        assert intersect_st(a, b) == intersect_list(a, b)
+        assert ST.union(a, b) == union_list(a, b)
+        assert ST.intersect(a, b) == intersect_list(a, b)
 
 
 def test_union_examples_and_empty():
     a = Antichain([(2, 0), (0, 2)])
     b = Antichain([(1, 1)])
     empty = Antichain((), dim=2)
-    assert union_st(a, b).vectors == ((0, 2), (1, 1), (2, 0))
-    assert union_st(empty, b) == b
-    assert union_st(a, empty) == a
-    assert intersect_st(a, b).vectors == ((0, 1), (1, 0))
-    assert intersect_st(a, empty) == empty
+    assert ST.union(a, b).vectors == ((0, 2), (1, 1), (2, 0))
+    assert ST.union(empty, b) == b
+    assert ST.union(a, empty) == a
+    assert ST.intersect(a, b).vectors == ((0, 1), (1, 0))
+    assert ST.intersect(a, empty) == empty
+
+
+def test_build_at_high_dimension():
+    k = 2000
+    a = Antichain([tuple((i + j) % 3 for j in range(k)) for i in range(3)])
+    tree = build_sharingtree(a)  # no per-coordinate recursion
+    assert tree.node_count == 3 * k + 1
+    assert tree.edge_count == 3 * k
 
 
 def test_build_is_deterministic():
