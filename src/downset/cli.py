@@ -53,7 +53,7 @@ def _maybe_dump_dot(args, ac: Antichain) -> None:
     if args.backend == "sharingtree":
         text = to_dot(build_sharingtree(ac))
     elif args.backend == "cst":
-        text = to_dot(build_cst(ac.vectors, dim=ac.dim))
+        text = to_dot(build_cst(ac))
     else:
         raise CliError("--dump-dot requires the sharingtree or cst backend")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

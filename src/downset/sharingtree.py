@@ -9,18 +9,22 @@ caching on it, so equivalent subtrees are created once.
 
 Successors are kept in strictly decreasing value order, which gives the
 membership DFS its early exits: once the largest remaining successor value
-drops below the query component, no branch can dominate.
+drops below the query component, no branch can dominate.  Whether a path
+below a node dominates the rest of a query depends on the node alone (and,
+for strict membership, on whether a component was already exceeded), so
+the DFS memoizes failed nodes and searches each node at most once per
+strictness bit.  The memo is a mark on the node: each search makes fresh
+marker objects and stamps a node with one when it fails, so a mark left by
+another search never matches.  A set of failed nodes would do the same,
+but its inserts doubled the query time on trees with little sharing.
 
-When the largest component exceeds the number of vectors, values are
-compressed to their per-dimension ranks before building; rank encoding is
-order-isomorphic within each dimension, so domination between stored
-vectors is preserved, and queries translate each component with a binary
-search over the per-dimension sorted value table.
+The covering sharing tree (``cst``) is the same layered DAG: it shares this
+module's node, build, search, iterator and DOT dump, and adds only its
+simulation-based union and intersection.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Iterator, Optional
 
 from .core import Antichain, DimensionMismatch, Stats, Vector
@@ -29,83 +33,39 @@ TOP = None  # root value
 
 
 class STNode:
-    __slots__ = ("layer", "value", "succs", "uid")
+    __slots__ = ("layer", "value", "succs", "uid", "mark")
 
-    def __init__(self, layer: int, value, succs, uid: int):
+    def __init__(self, layer: int, value, succs, uid: int = -1):
         self.layer = layer
         self.value = value
         self.succs = succs  # tuple, strictly decreasing by value
         self.uid = uid
+        self.mark = None  # the failure marker of the last search that failed here
 
     def __repr__(self) -> str:
         return f"STNode(layer={self.layer}, value={self.value}, uid={self.uid})"
 
 
 class STree:
-    """A built sharing tree plus its bookkeeping.
+    """A layered DAG plus its bookkeeping.
 
-    ``table`` is None for uncompressed trees; otherwise it holds, per
-    dimension, the sorted list of distinct original values, and node values
-    are ranks into these lists.
+    ``node_count`` and ``edge_count`` are set by the build; trees produced
+    by the covering set operations are not counted and leave them None.
     """
 
-    __slots__ = ("root", "dim", "empty", "node_count", "edge_count", "table")
+    __slots__ = ("root", "dim", "empty", "node_count", "edge_count")
 
-    def __init__(self, root: STNode, dim: int, empty: bool, node_count: int,
-                 edge_count: int, table):
+    def __init__(self, root: STNode, dim: int, node_count: Optional[int] = None,
+                 edge_count: Optional[int] = None):
         self.root = root
         self.dim = dim
-        self.empty = empty
+        self.empty = not root.succs
         self.node_count = node_count
         self.edge_count = edge_count
-        self.table = table
 
 
-def _rank_table(vectors):
-    return [sorted(set(column)) for column in zip(*vectors)]
-
-
-def _rank_encode(vectors, table):
-    return [tuple(map(bisect_left, table, v)) for v in vectors]
-
-
-def compress(ac: Antichain):
-    """Rank-encode an antichain per dimension.
-
-    Returns the compressed antichain and the recovery table (per dimension,
-    the sorted distinct original values).  Ranks are order-isomorphic within
-    each dimension, so all domination relations between stored vectors are
-    preserved, and the encoding is invertible through the table.
-    """
-    if not ac.vectors:
-        raise ValueError("cannot compress an empty antichain")
-    table = _rank_table(ac.vectors)
-    return Antichain._from_maximal(ac.dim, _rank_encode(ac.vectors, table)), table
-
-
-def decompress(ac: Antichain, table) -> Antichain:
-    originals = [tuple(table[i][v[i]] for i in range(ac.dim)) for v in ac.vectors]
-    return Antichain._from_maximal(ac.dim, sorted(originals))
-
-
-def build_sharingtree(ac: Antichain) -> STree:
-    """Build the minimal layered DAG for an antichain, rank-compressed when
-    the max norm exceeds the member count."""
-    dim = ac.dim
-    if not ac.vectors:
-        root = STNode(0, TOP, (), 0)
-        return STree(root, dim, True, 1, 0, None)
-    table = None
-    vectors = ac.vectors
-    if ac.max_norm() > len(vectors):
-        # ranks are order-isomorphic per dimension, so the encoding stays sorted
-        table = _rank_table(vectors)
-        vectors = _rank_encode(vectors, table)
-    return _build_tree(vectors, dim, table)
-
-
-def _build_tree(vectors, dim: int, table) -> STree:
-    """Bottom-up build over distinct vectors sorted ascending.
+def _build(ac: Antichain) -> STree:
+    """Bottom-up build over the members, which are sorted ascending.
 
     Reading the vectors in descending order makes siblings arrive in
     decreasing value order.  ``pending[j]`` collects the children of the
@@ -114,9 +74,10 @@ def _build_tree(vectors, dim: int, table) -> STree:
     on (layer, value, successors), whose successors are canonical nodes
     already, and appended to its parent's children.
     """
+    dim = ac.dim
     nodes: dict = {}
     pending: list = [[] for _ in range(dim)]
-    descending = vectors[::-1]
+    descending = ac.vectors[::-1]
     for i, v in enumerate(descending):
         p = 0  # coordinates shared with the next vector
         if i + 1 < len(descending):
@@ -135,49 +96,43 @@ def _build_tree(vectors, dim: int, table) -> STree:
                 children.clear()
     root = STNode(0, TOP, tuple(pending[0]), len(nodes))
     edge_count = len(root.succs) + sum(len(n.succs) for n in nodes.values())
-    return STree(root, dim, False, len(nodes) + 1, edge_count, table)
+    return STree(root, dim, len(nodes) + 1, edge_count)
 
 
-def _thresholds(tree: STree, u: Vector):
-    """Per-dimension rank thresholds for non-strict and strict domination.
-
-    A stored value (rank or raw) dominates component i iff it is >= geq[i];
-    it strictly exceeds iff >= gt[i].
-    """
-    if tree.table is None:
-        geq = list(u)
-        gt = [x + 1 for x in u]
-    else:
-        geq = [bisect_left(tree.table[i], u[i]) for i in range(tree.dim)]
-        gt = [bisect_right(tree.table[i], u[i]) for i in range(tree.dim)]
-    return geq, gt
-
-
-def member_st(tree: STree, u: Vector, stats: Optional[Stats] = None) -> bool:
-    """DFS membership: is there a root-to-leaf path dominating ``u``?"""
+def _query(tree: STree, u: Vector) -> Vector:
     u = tuple(u)
     if len(u) != tree.dim:
         raise DimensionMismatch(f"query has length {len(u)}, tree has dimension {tree.dim}")
+    return u
+
+
+def _member(tree: STree, u: Vector, stats: Optional[Stats]) -> bool:
+    """DFS for a root-to-leaf path dominating ``u``, skipping failed nodes."""
+    u = _query(tree, u)
     if tree.empty:
         return False
-    geq, _ = _thresholds(tree, u)
-    k = tree.dim
+    last = tree.dim - 1
+    failed = object()
     visits = 0
     comps = 0
 
     def dfs(node: STNode, layer: int) -> bool:
         nonlocal visits, comps
         visits += 1
-        if layer == k - 1:
+        x = u[layer]
+        if layer == last:
             # second-to-last layer: the first (largest) successor decides
             comps += 1
-            return node.succs[0].value >= geq[layer]
-        for s in node.succs:
-            comps += 1
-            if s.value < geq[layer]:
-                break  # successors only get smaller
-            if dfs(s, layer + 1):
+            if node.succs[0].value >= x:
                 return True
+        else:
+            for s in node.succs:
+                comps += 1
+                if s.value < x:
+                    break  # successors only get smaller
+                if s.mark is not failed and dfs(s, layer + 1):
+                    return True
+        node.mark = failed
         return False
 
     result = dfs(tree.root, 0)
@@ -186,30 +141,39 @@ def member_st(tree: STree, u: Vector, stats: Optional[Stats] = None) -> bool:
     return result
 
 
-def strict_member_st(tree: STree, u: Vector, stats: Optional[Stats] = None) -> bool:
-    """DFS with a strictness bit: some path dominates ``u`` and exceeds it
-    in at least one component."""
-    u = tuple(u)
-    if len(u) != tree.dim:
-        raise DimensionMismatch(f"query has length {len(u)}, tree has dimension {tree.dim}")
+def _strict_member(tree: STree, u: Vector, stats: Optional[Stats]) -> bool:
+    """DFS with a strictness bit for a path dominating ``u`` and exceeding
+    it in at least one component; failed nodes are skipped per bit."""
+    u = _query(tree, u)
     if tree.empty:
         return False
-    geq, gt = _thresholds(tree, u)
-    k = tree.dim
+    last = tree.dim - 1
+    # A node that fails with the bit set has no dominating path below it, so
+    # it fails without the bit too: ``dead`` covers both bits, ``weak`` only
+    # the unset one.
+    dead, weak = object(), object()
     visits = 0
     comps = 0
 
     def dfs(node: STNode, layer: int, strict: bool) -> bool:
         nonlocal visits, comps
         visits += 1
-        if layer == k:
-            return strict
-        for s in node.succs:
+        x = u[layer]
+        if layer == last:
             comps += 2
-            if s.value < geq[layer]:
-                break
-            if dfs(s, layer + 1, strict or s.value >= gt[layer]):
+            top = node.succs[0].value
+            if top > x or (strict and top == x):
                 return True
+        else:
+            for s in node.succs:
+                comps += 2
+                if s.value < x:
+                    break
+                bit = strict or s.value > x
+                mark = s.mark
+                if mark is not dead and (bit or mark is not weak) and dfs(s, layer + 1, bit):
+                    return True
+        node.mark = dead if strict else weak
         return False
 
     result = dfs(tree.root, 0, False)
@@ -218,12 +182,26 @@ def strict_member_st(tree: STree, u: Vector, stats: Optional[Stats] = None) -> b
     return result
 
 
+def build_sharingtree(ac: Antichain) -> STree:
+    """Build the minimal layered DAG of an antichain."""
+    return _build(ac)
+
+
+def member_st(tree: STree, u: Vector, stats: Optional[Stats] = None) -> bool:
+    """Is there a root-to-leaf path dominating ``u``?"""
+    return _member(tree, u, stats)
+
+
+def strict_member_st(tree: STree, u: Vector, stats: Optional[Stats] = None) -> bool:
+    """Is there a path dominating ``u`` and exceeding it in some component?"""
+    return _strict_member(tree, u, stats)
+
+
 def iter_vectors(tree: STree) -> Iterator[Vector]:
-    """All encoded vectors, in the DAG's depth-first order; the ranks of a
-    compressed tree are mapped back to the original values."""
+    """All encoded vectors, in the DAG's depth-first order (decreasing
+    values first)."""
     if tree.empty:
         return
-    table = tree.table
     k = tree.dim
     prefix: list = []
 
@@ -232,14 +210,14 @@ def iter_vectors(tree: STree) -> Iterator[Vector]:
             yield tuple(prefix)
             return
         for s in node.succs:
-            prefix.append(s.value if table is None else table[layer][s.value])
+            prefix.append(s.value)
             yield from walk(s, layer + 1)
             prefix.pop()
 
     yield from walk(tree.root, 0)
 
 
-def to_dot(tree) -> str:
+def to_dot(tree: STree) -> str:
     """DOT dump of a layered DAG (sharing tree or covering sharing tree);
     nodes are labeled ``layer:value``."""
     lines = ["digraph sharingtree {", "  rankdir=TB;"]

@@ -72,7 +72,7 @@ def test_criterion_1_cross_backend_equivalence():
 
         tree = build_kdtree(a)
         stree = build_sharingtree(a)
-        ctree = build_cst(a.vectors, dim=k)
+        ctree = build_cst(a)
         assert maximal_elements(ctree) == a, f"case {case}: cst build maximal elements"
         for _ in range(10):
             u = tuple(rng.randint(0, maxval + 1) for _ in range(k))
@@ -84,7 +84,7 @@ def test_criterion_1_cross_backend_equivalence():
 
         if k <= 4 and maxval <= 5:
             box_cases += 1
-            cb = build_cst(b.vectors, dim=k)
+            cb = build_cst(b)
             cu = union_cst(ctree, cb)
             ci = intersect_cst(ctree, cb)
             assert maximal_elements(cu) == union_ref, f"case {case}: cst union maximal"
@@ -167,13 +167,15 @@ def test_criterion_5_kdtree_search_scaling():
 
 
 def test_criterion_6_sharing_tree_compression():
-    """The block-pair family with 2^n members fits in 4n+2 nodes."""
+    """The block-pair family with 2^n members fits in 4n+2 nodes, as a
+    sharing tree and as a covering sharing tree."""
     for n in range(1, 13):
         fam = pair_family(n)
         assert len(fam) == 2 ** n
-        tree = build_sharingtree(fam)
-        assert tree.node_count <= 4 * n + 2, f"n={n}: {tree.node_count} nodes"
-    _report(6, "sharing-tree compression", "2^n vectors in <= 4n+2 nodes, n <= 12")
+        for build in (build_sharingtree, build_cst):
+            tree = build(fam)
+            assert tree.node_count <= 4 * n + 2, f"{build.__name__} n={n}: {tree.node_count} nodes"
+    _report(6, "sharing-tree compression", "2^n vectors in <= 4n+2 nodes (both DAG backends), n <= 12")
 
 
 def test_criterion_7_parity_solver():

@@ -6,13 +6,12 @@ from downset import Antichain, DimensionMismatch, Stats, get_backend, member_lis
 from downset.sharingtree import (
     TOP,
     build_sharingtree,
-    compress,
-    decompress,
     iter_vectors,
     member_st,
     strict_member_st,
     to_dot,
 )
+from downset.cst import build_cst, member_cst
 from util import pair_family, rand_antichain
 
 ST = get_backend("sharingtree")
@@ -84,6 +83,20 @@ def test_pair_family_node_counts():
         check_structure(tree)
 
 
+@pytest.mark.parametrize("build, search", [
+    (build_sharingtree, member_st),
+    (build_sharingtree, strict_member_st),
+    (build_cst, member_cst),
+], ids=["member_st", "strict_member_st", "member_cst"])
+def test_failure_memo_bounds_visits_on_pair_family(build, search):
+    # without the memo the DFS re-enters shared subtrees: about 3 * 2^n visits
+    for n in range(8, 13):
+        tree = build(pair_family(n))
+        s = Stats()
+        assert search(tree, (0,) * (2 * n - 1) + (2,), s) is False
+        assert s.node_visits <= 2 * tree.node_count, f"n={n}: {s.node_visits} visits"
+
+
 def test_node_count_bound_and_language_exactness():
     rng = random.Random(13)
     for _ in range(60):
@@ -131,19 +144,9 @@ def test_member_matches_list_oracle_randomized():
             assert strict_member_st(tree, u) == strict
 
 
-def test_compress_examples():
-    c, table = compress(Antichain([(10, 500), (20, 300)]))
-    assert c.vectors == ((0, 1), (1, 0))
-    already = Antichain([(0, 1), (1, 0)])
-    c2, table2 = compress(already)
-    assert c2 == already
-    assert decompress(c, table) == Antichain([(10, 500), (20, 300)])
-
-
 def test_compressed_tree_queries_translate_raw_values():
     a = Antichain([(10, 500), (20, 300)])
-    tree = build_sharingtree(a)  # max norm 500 > 2 vectors: compressed
-    assert tree.table is not None
+    tree = build_sharingtree(a)
     for u, expect in [((10, 500), True), ((15, 400), False), ((15, 300), True),
                       ((21, 0), False), ((0, 0), True), ((20, 300), True),
                       ((10, 501), False)]:
