@@ -22,7 +22,9 @@ with the minimum of the two values, and resolves same-value collisions by
 uniting the two subtrees.  Every insertion is guarded by sibling-simulation
 checks: on union only existing-simulates-new is possible (insertions arrive
 in decreasing value order), on intersection both directions are checked and
-an insertion that simulates existing siblings evicts them.
+an insertion that simulates existing siblings evicts them.  Both operations
+keep the node made for every pair of operand nodes for the rest of the
+call, so a node reached by many paths is merged or multiplied once.
 """
 
 from __future__ import annotations
@@ -87,11 +89,15 @@ def member_cst(tree: STree, u: Vector, stats: Optional[Stats] = None) -> bool:
     return _member(tree, u, stats)
 
 
-def _union_nodes(ns: STNode, nt: STNode, layer: int, k: int, memo: dict) -> STNode:
+def _union_nodes(ns: STNode, nt: STNode, memo: dict, unions: dict) -> STNode:
     """Merge two equal-valued nodes; the three cases follow the successor
-    lists in decreasing value order."""
-    if layer == k:
-        return STNode(k, ns.value, ())
+    lists in decreasing value order.  ``unions`` holds the merge of every
+    node pair done so far, so a shared DAG is merged once per pair, not
+    once per path."""
+    key = (ns, nt)
+    done = unions.get(key)
+    if done is not None:
+        return done
     children: list = []
     ss, ts = ns.succs, nt.succs
     i = j = 0
@@ -104,10 +110,11 @@ def _union_nodes(ns: STNode, nt: STNode, layer: int, k: int, memo: dict) -> STNo
             i += 1
         else:
             # merged nodes face the same sibling check as copied ones
-            _add_if_not_simulated(children, _union_nodes(ss[i], ts[j], layer + 1, k, memo), memo)
+            _add_if_not_simulated(children, _union_nodes(ss[i], ts[j], memo, unions), memo)
             i += 1
             j += 1
-    return STNode(layer, ns.value, tuple(children))
+    done = unions[key] = STNode(ns.layer, ns.value, tuple(children))
+    return done
 
 
 def union_cst(s: STree, t: STree, stats: Optional[Stats] = None) -> STree:
@@ -119,13 +126,13 @@ def union_cst(s: STree, t: STree, stats: Optional[Stats] = None) -> STree:
     if t.empty:
         return s
     memo: dict = {}
-    root = _union_nodes(s.root, t.root, 0, s.dim, memo)
+    root = _union_nodes(s.root, t.root, memo, {})
     if stats is not None:
         stats.comparisons += len(memo)
     return STree(root, s.dim)
 
 
-def _add_succ_intersect(children: list, cand: STNode, layer: int, k: int, memo: dict) -> None:
+def _add_succ_intersect(children: list, cand: STNode, memo: dict, unions: dict) -> None:
     """Insertion with bidirectional checks, for product construction where
     candidates arrive in no particular value order.
 
@@ -138,7 +145,7 @@ def _add_succ_intersect(children: list, cand: STNode, layer: int, k: int, memo: 
             return
     for idx, c in enumerate(children):
         if c.value == cand.value:
-            children[idx] = _union_nodes(c, cand, layer, k, memo)
+            children[idx] = _union_nodes(c, cand, memo, unions)
             return
     pos = 0
     while pos < len(children) and children[pos].value > cand.value:
@@ -147,17 +154,22 @@ def _add_succ_intersect(children: list, cand: STNode, layer: int, k: int, memo: 
     children[pos + 1:] = [c for c in children[pos + 1:] if not _sim(c, cand, memo)]
 
 
-def _inter_nodes(ns: STNode, nt: STNode, layer: int, k: int, memo: dict) -> STNode:
+def _inter_nodes(ns: STNode, nt: STNode, memo: dict, unions: dict, products: dict) -> STNode:
     """The product of two same-layer nodes; every pair of successors yields
-    a candidate, so nodes of non-empty trees never come out empty."""
-    value = ns.value if layer == 0 else min(ns.value, nt.value)
-    if layer == k:
-        return STNode(k, value, ())
+    a candidate, so nodes of non-empty trees never come out empty.
+    ``products`` holds the product of every node pair done so far, so a
+    shared DAG is multiplied once per pair, not once per path."""
+    key = (ns, nt)
+    done = products.get(key)
+    if done is not None:
+        return done
+    value = ns.value if ns.layer == 0 else min(ns.value, nt.value)
     children: list = []
     for ss in ns.succs:
         for ts in nt.succs:
-            _add_succ_intersect(children, _inter_nodes(ss, ts, layer + 1, k, memo), layer + 1, k, memo)
-    return STNode(layer, value, tuple(children))
+            _add_succ_intersect(children, _inter_nodes(ss, ts, memo, unions, products), memo, unions)
+    done = products[key] = STNode(ns.layer, value, tuple(children))
+    return done
 
 
 def intersect_cst(s: STree, t: STree, stats: Optional[Stats] = None) -> STree:
@@ -168,7 +180,7 @@ def intersect_cst(s: STree, t: STree, stats: Optional[Stats] = None) -> STree:
     if s.empty or t.empty:
         return STree(STNode(0, TOP, ()), s.dim)
     memo: dict = {}
-    root = _inter_nodes(s.root, t.root, 0, s.dim, memo)
+    root = _inter_nodes(s.root, t.root, memo, {}, {})
     if stats is not None:
         stats.comparisons += len(memo)
     return STree(root, s.dim)

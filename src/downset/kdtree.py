@@ -5,29 +5,29 @@ the median under the tie-breaking order "smaller value, then smaller
 position", which guarantees balanced splits even with repeated values.  The
 median vector goes to the right subtree, so the right child holds the
 ceil(p/2) largest entries of the split coordinate and the left child the
-rest.
+rest.  Both children keep the input's position order, the median last.
+
+The median comes from one stable sort of the node's positions by the split
+coordinate: ties keep their position, so the sort order is exactly the
+value-then-position order, and it hands over both children at once.  That
+is O(p log p) per node and O(n log^2 n) for the build, against the linear
+time of a selection, but the work runs inside the C sort instead of the
+interpreter.
 
 Membership search keeps a running lower bound of the current node's region
 and a counter of coordinates where the bound is still below the query; the
 counter hitting zero certifies that every vector in the region dominates
 the query, in constant time per descent.  Left branches whose region cannot
 contain a dominator are pruned by comparing the split value against the
-query coordinate.
+query coordinate.  Leaves are compared in place with the counting of
+``core.compare_counted``, so a query allocates nothing beyond its state.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .core import (
-    Antichain,
-    DimensionMismatch,
-    Stats,
-    Vector,
-    compare_counted,
-    EQUAL,
-    LESS,
-)
+from .core import Antichain, DimensionMismatch, Stats, Vector
 
 
 class KdLeaf:
@@ -68,69 +68,39 @@ class EmptyTree:
 EMPTY_TREE = EmptyTree()
 
 
-def precedes(a: int, ia: int, b: int, ib: int) -> bool:
-    """Strict order on indexed values: by value, ties by position."""
-    return a < b or (a == b and ia < ib)
-
-
-def _select(pairs: list, rank: int):
-    """Deterministic linear-time selection of the ``rank``-th smallest pair
-    (0-based) via median of medians; pairs are distinct (value, index)."""
-    while True:
-        n = len(pairs)
-        if n <= 10:
-            pairs.sort()
-            return pairs[rank]
-        medians = []
-        for i in range(0, n, 5):
-            group = sorted(pairs[i:i + 5])
-            medians.append(group[(len(group) - 1) // 2])
-        pivot = _select(medians, (len(medians) - 1) // 2)
-        lo = [p for p in pairs if p < pivot]
-        if rank < len(lo):
-            pairs = lo
-            continue
-        if rank == len(lo):
-            return pivot
-        hi = [p for p in pairs if p > pivot]
-        rank -= len(lo) + 1
-        pairs = hi
+def _prec_order(values: Sequence[int]) -> list:
+    """Positions in the value-then-position order: the sort is stable, so
+    ties keep their position."""
+    return sorted(range(len(values)), key=values.__getitem__)
 
 
 def prec_median(values: Sequence[int]) -> int:
     """Position of the median under the value-then-position order.
 
     For p values this is the ceil(p/2)-th largest, i.e. the element of
-    ascending rank floor(p/2); with all-distinct ranks the result is unique
-    and deterministic.
+    ascending rank floor(p/2); the result is unique and deterministic.
     """
-    p = len(values)
-    if p == 0:
+    if not values:
         raise ValueError("median of an empty sequence")
-    value, index = _select([(v, i) for i, v in enumerate(values)], p // 2)
-    return index
+    return _prec_order(values)[len(values) // 2]
 
 
 def _build(vectors: list, depth: int, k: int):
-    if len(vectors) == 1:
+    p = len(vectors)
+    if p == 1:
         return KdLeaf(vectors[0])
     i = depth % k
-    mpos = prec_median([v[i] for v in vectors])
-    mu = vectors[mpos][i]
-    left: list = []
-    right: list = []
-    left_ties = False
-    for pos, v in enumerate(vectors):
-        if pos == mpos:
-            continue
-        if v[i] < mu or (v[i] == mu and pos < mpos):
-            left.append(v)
-            if v[i] == mu:
-                left_ties = True
-        else:
-            right.append(v)
+    col = [v[i] for v in vectors]
+    order = _prec_order(col)
+    h = p // 2
+    mpos = order[h]
+    mu = col[mpos]
+    # both children keep the input's position order; the median goes last
+    left = [vectors[j] for j in sorted(order[:h])]
+    right = [vectors[j] for j in sorted(order[h + 1:])]
     right.append(vectors[mpos])
-    return KdSplit(mu, depth, _build(left, depth + 1, k), _build(right, depth + 1, k), left_ties)
+    return KdSplit(mu, depth, _build(left, depth + 1, k), _build(right, depth + 1, k),
+                   col[order[h - 1]] == mu)
 
 
 def build_kdtree(source):
@@ -195,45 +165,61 @@ class _Search:
 
 def _search(node, st: _Search, strict: bool) -> bool:
     st.visits += 1
-    if isinstance(node, KdLeaf):
-        local = Stats()
-        outcome = compare_counted(st.u, node.vec, local)
-        st.comps += local.comparisons
-        if strict:
-            return outcome is LESS
-        return outcome is LESS or outcome is EQUAL
     u = st.u
+    if type(node) is KdLeaf:
+        # core.compare_counted inlined, with its count: k for equal vectors,
+        # else the scan up to the first coordinate against the direction of
+        # the first difference, plus the direction check
+        v = node.vec
+        k = st.k
+        if u == v:
+            st.comps += k
+            return not strict
+        if u < v:  # lexicographic: the first difference is an increase
+            for j in range(k):
+                if u[j] > v[j]:
+                    st.comps += j + 2
+                    return False
+            st.comps += k + 1
+            return True
+        for j in range(k):
+            if u[j] < v[j]:
+                st.comps += j + 2
+                return False
+        st.comps += k + 1
+        return False
+    lb = st.lb
     i = node.depth % st.k
     mu = node.value
     ui = u[i]
-    old = st.lb[i]
+    old = lb[i]
     # descend right: the right region's bound on coordinate i rises to mu
-    st.comps += 1
-    restored_c = st.c
-    restored_strict = st.strict_dims
+    c = st.c
+    strict_dims = st.strict_dims
     if mu > old:
-        st.lb[i] = mu
-        st.comps += 2
-        if old < ui and mu >= ui:
-            st.c -= 1
-        if old <= ui and mu > ui:
-            st.strict_dims += 1
+        st.comps += 3
+        lb[i] = mu
+        if old < ui <= mu:
+            st.c = c - 1
+        if old <= ui < mu:
+            st.strict_dims = strict_dims + 1
+    else:
+        st.comps += 1
     if st.c == 0 and (not strict or st.strict_dims > 0):
         # every vector in the right region dominates u (strictly if needed)
-        st.lb[i] = old
-        st.c = restored_c
-        st.strict_dims = restored_strict
+        lb[i] = old
+        st.c = c
+        st.strict_dims = strict_dims
         return True
     r_right = _search(node.right, st, strict)
-    st.lb[i] = old
-    st.c = restored_c
-    st.strict_dims = restored_strict
-    r_left = False
+    lb[i] = old
+    st.c = c
+    st.strict_dims = strict_dims
     st.comps += 1
     if ui < mu or (ui == mu and node.left_allows_equal):
         # the left region can still contain a dominator of u
-        r_left = _search(node.left, st, strict)
-    return r_right or r_left
+        return _search(node.left, st, strict) or r_right
+    return r_right
 
 
 def tree_dim(tree) -> Optional[int]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,7 @@ from downset.cst import (
     union_cst,
 )
 from downset.sharingtree import STNode, iter_vectors
-from util import brute_member, rand_antichain
+from util import brute_member, pair_family, rand_antichain
 
 
 def test_simulates_leaves():
@@ -145,3 +146,34 @@ def test_closure_correctness_randomized_boxes():
         for p in itertools.product(range(maxval + 2), repeat=k):
             assert member_cst(cu, p) == brute_member(ul.vectors, p)
             assert member_cst(ci, p) == brute_member(il.vectors, p)
+
+
+def _layer_sizes(tree):
+    """Distinct reachable nodes per layer."""
+    layer_of = {}
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in layer_of:
+            layer_of[id(node)] = node.layer
+            stack.extend(node.succs)
+    counts = Counter(layer_of.values())
+    return [counts[layer] for layer in sorted(counts)]
+
+
+def test_setops_share_nodes_on_pair_family():
+    # the pair family's DAG at n=7 has 29 nodes (a root and two per layer)
+    # but 2^7 paths; products and merges are made once per pair of
+    # same-layer nodes, so the results stay shared instead of unfolding
+    # into a 509-node trie
+    fam = pair_family(7)
+    tree = build_cst(fam)
+    sizes = _layer_sizes(tree)
+    assert sum(sizes) == 29
+    pairs = sum(n * n for n in sizes)
+    product = intersect_cst(tree, tree)
+    assert sum(_layer_sizes(product)) <= pairs
+    assert maximal_elements(product) == intersect_list(fam, fam)
+    merged = union_cst(tree, tree)
+    assert sum(_layer_sizes(merged)) <= pairs
+    assert maximal_elements(merged) == union_list(fam, fam)

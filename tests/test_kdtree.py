@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from downset import Antichain, DimensionMismatch, Stats, get_backend, member_list, union_list, intersect_list
+from downset.bench import BenchSpec, run_bench
+from downset.core import EQUAL, LESS, compare_counted
 from downset.kdtree import (
     EMPTY_TREE,
     KdLeaf,
@@ -13,7 +15,6 @@ from downset.kdtree import (
     build_kdtree,
     member_kdtree,
     prec_median,
-    precedes,
     strict_member_kdtree,
     tree_height,
     tree_leaves,
@@ -21,13 +22,6 @@ from downset.kdtree import (
 from util import adversarial_vectors, rand_antichain
 
 KD = get_backend("kdtree")
-
-
-def test_precedes_examples():
-    assert precedes(3, 0, 3, 1) is True
-    assert precedes(2, 9, 3, 0) is True
-    assert precedes(3, 1, 3, 1) is False
-    assert precedes(4, 0, 3, 5) is False
 
 
 def test_prec_median_examples():
@@ -139,6 +133,25 @@ def test_member_matches_list_oracle_randomized():
             assert strict_member_kdtree(tree, u) == strict
 
 
+def test_leaf_test_counts_like_compare_counted():
+    # a one-leaf tree is searched by its leaf test alone, which must give the
+    # verdict and the count of the reference comparison
+    rng = random.Random(41)
+    for _ in range(400):
+        k = rng.randint(1, 6)
+        v = tuple(rng.randint(0, 3) for _ in range(k))
+        u = tuple(rng.randint(0, 3) for _ in range(k))
+        ref = Stats()
+        outcome = compare_counted(u, v, ref)
+        tree = build_kdtree([v])
+        s = Stats()
+        assert member_kdtree(tree, u, s) is (outcome is LESS or outcome is EQUAL)
+        assert (s.comparisons, s.node_visits) == (ref.comparisons, 1)
+        s = Stats()
+        assert strict_member_kdtree(tree, u, s) is (outcome is LESS)
+        assert s.comparisons == ref.comparisons
+
+
 def test_strict_member_handles_duplicate_leaves():
     # trees over meet multisets contain equal vectors; equal copies must not
     # strictly dominate each other
@@ -194,3 +207,39 @@ def test_best_case_large_query_skips_left_branches():
     assert member_kdtree(tree, (7, 7, 7), s) is False
     # never enters a left branch: one node per level plus the final leaf
     assert s.node_visits <= math.ceil(math.log2(len(a))) + 2
+
+
+def test_kdtree_counts_are_pinned():
+    # counts of the k-d backend on seeded bench rows (k=6, t=10 and 40); a
+    # change to the build or the search must leave the tree and these
+    # counts as they are
+    expected = {
+        ("membership", "comparisons"): (1010, 8466),
+        ("membership", "node_visits"): (232, 2097),
+        ("union", "comparisons"): (991, 8110),
+        ("union", "node_visits"): (229, 2017),
+        ("intersection", "comparisons"): (1499, 47864),
+        ("intersection", "node_visits"): (229, 2017),
+    }
+    for (op, metric), values in expected.items():
+        rows = run_bench(BenchSpec(op=op, sizes=(10, 40), k=6, seed=3,
+                                   backends=("kdtree",), metric=metric))
+        assert tuple(r.value for r in rows) == values, (op, metric)
+
+
+def test_high_dimension_matches_list_backend():
+    # the search recurses by tree depth, not by dimension
+    rng = random.Random(2000)
+    k = 2000
+    a = rand_antichain(rng, k, 16, 32)
+    b = Antichain(a.vectors[:8] + rand_antichain(rng, k, 8, 32).vectors, dim=k)
+    queries = []
+    for v in a.vectors:
+        i = rng.randrange(k)
+        queries.append(v)
+        queries.append(v[:i] + (max(v[i] - 1, 0),) + v[i + 1:])
+        queries.append(v[:i] + (v[i] + 1,) + v[i + 1:])
+    for u in queries:
+        assert KD.member(a, u) == member_list(a, u)
+    assert KD.union(a, b) == union_list(a, b)
+    assert KD.intersect(a, b) == intersect_list(a, b)
