@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import cst as _cst
 from . import kdtree as _kd
@@ -35,8 +35,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class BackendChoice:
+class BackendChoice(NamedTuple):
     kind: str  # "list" or "kdtree"
     k: int
     m: int

@@ -7,12 +7,19 @@ median vector goes to the right subtree, so the right child holds the
 ceil(p/2) largest entries of the split coordinate and the left child the
 rest.  Both children keep the input's position order, the median last.
 
-The median comes from one stable sort of the node's positions by the split
-coordinate: ties keep their position, so the sort order is exactly the
-value-then-position order, and it hands over both children at once.  That
-is O(p log p) per node and O(n log^2 n) for the build, against the linear
-time of a selection, but the work runs inside the C sort instead of the
-interpreter.
+The tree is split lazily: ``build_kdtree`` splits only the root, and a
+child stays a pending vector list until a search first descends into it
+(or ``left``/``right`` is read), so a query pays only for the nodes it
+reaches and each node is split at most once.  A split takes one C sort of
+the split coordinate's values for the median and one linear pass that
+deals the vectors out: values below the median left, values above it
+right, and of the positions equal to it the first few left (to fill the
+left half), the next one as the median, the rest right.  That is
+O(p log p) per node and O(n log^2 n) for a full build.
+
+Concurrent searches of one tree are safe: a split is deterministic, so a
+race can only split one node twice into equal subtrees, and every search
+returns the same answer and counts.
 
 Membership search keeps a running lower bound of the current node's region
 and a counter of coordinates where the bound is still below the query; the
@@ -25,7 +32,8 @@ query coordinate.  Leaves are compared in place with the counting of
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from bisect import bisect_left
+from typing import Optional
 
 from .core import Antichain, DimensionMismatch, Stats, Vector
 
@@ -44,16 +52,34 @@ class KdSplit:
     whose split coordinate equals the median (possible only with repeated
     values, where ties broke on position); exact left-branch pruning needs
     this bit.
+
+    A child stays a pending vector list (position order, the median last
+    on the right) until it is first reached; ``left`` and ``right`` split
+    it on access, as the search does.
     """
 
-    __slots__ = ("value", "depth", "left", "right", "left_allows_equal")
+    __slots__ = ("value", "depth", "_left", "_right", "left_allows_equal")
 
-    def __init__(self, value: int, depth: int, left, right, left_allows_equal: bool):
+    def __init__(self, value: int, depth: int, left: list, right: list, left_allows_equal: bool):
         self.value = value
         self.depth = depth
-        self.left = left
-        self.right = right
+        self._left = left
+        self._right = right
         self.left_allows_equal = left_allows_equal
+
+    @property
+    def left(self):
+        left = self._left
+        if type(left) is list:
+            left = self._left = _split(left, self.depth + 1)
+        return left
+
+    @property
+    def right(self):
+        right = self._right
+        if type(right) is list:
+            right = self._right = _split(right, self.depth + 1)
+        return right
 
 
 class EmptyTree:
@@ -68,50 +94,48 @@ class EmptyTree:
 EMPTY_TREE = EmptyTree()
 
 
-def _prec_order(values: Sequence[int]) -> list:
-    """Positions in the value-then-position order: the sort is stable, so
-    ties keep their position."""
-    return sorted(range(len(values)), key=values.__getitem__)
-
-
-def prec_median(values: Sequence[int]) -> int:
-    """Position of the median under the value-then-position order.
-
-    For p values this is the ceil(p/2)-th largest, i.e. the element of
-    ascending rank floor(p/2); the result is unique and deterministic.
-    """
-    if not values:
-        raise ValueError("median of an empty sequence")
-    return _prec_order(values)[len(values) // 2]
-
-
-def _build(vectors: list, depth: int, k: int):
+def _split(vectors: list, depth: int):
+    """One node over ``vectors``: a leaf, or a split whose children are
+    left pending."""
     p = len(vectors)
     if p == 1:
         return KdLeaf(vectors[0])
-    i = depth % k
+    i = depth % len(vectors[0])
     col = [v[i] for v in vectors]
-    order = _prec_order(col)
+    s = sorted(col)
     h = p // 2
-    mpos = order[h]
-    mu = col[mpos]
-    # both children keep the input's position order; the median goes last
-    left = [vectors[j] for j in sorted(order[:h])]
-    right = [vectors[j] for j in sorted(order[h + 1:])]
-    right.append(vectors[mpos])
-    return KdSplit(mu, depth, _build(left, depth + 1, k), _build(right, depth + 1, k),
-                   col[order[h - 1]] == mu)
+    mu = s[h]
+    # the h smallest under value-then-position go left: every value below
+    # mu, then the first mu-valued positions; the next one is the median
+    ties = h - bisect_left(s, mu)
+    left: list = []
+    right: list = []
+    median = None
+    for v, x in zip(vectors, col):
+        if x < mu:
+            left.append(v)
+        elif x > mu:
+            right.append(v)
+        elif ties:
+            left.append(v)
+            ties -= 1
+        elif median is None:
+            median = v
+        else:
+            right.append(v)
+    right.append(median)
+    return KdSplit(mu, depth, left, right, s[h - 1] == mu)
 
 
 def build_kdtree(source):
     """Build a balanced tree from an antichain or a raw vector collection.
 
-    Raw collections may contain duplicates and comparable vectors; the
-    leaves always reproduce the input exactly.
+    Only the root is split here; every other node is split when first
+    reached.  Raw collections may contain duplicates and comparable
+    vectors; the leaves always reproduce the input exactly.
     """
     if isinstance(source, Antichain):
-        vectors = list(source.vectors)
-        k = source.dim
+        vectors = source.vectors
     else:
         vectors = [tuple(v) for v in source]
         if not vectors:
@@ -122,7 +146,7 @@ def build_kdtree(source):
                 raise DimensionMismatch("mixed vector lengths")
     if not vectors:
         return EMPTY_TREE
-    return _build(vectors, 0, k)
+    return _split(vectors, 0)
 
 
 def tree_height(tree) -> int:
@@ -211,14 +235,20 @@ def _search(node, st: _Search, strict: bool) -> bool:
         st.c = c
         st.strict_dims = strict_dims
         return True
-    r_right = _search(node.right, st, strict)
+    right = node._right
+    if type(right) is list:  # first descent: split the pending child
+        right = node._right = _split(right, node.depth + 1)
+    r_right = _search(right, st, strict)
     lb[i] = old
     st.c = c
     st.strict_dims = strict_dims
     st.comps += 1
     if ui < mu or (ui == mu and node.left_allows_equal):
         # the left region can still contain a dominator of u
-        return _search(node.left, st, strict) or r_right
+        left = node._left
+        if type(left) is list:
+            left = node._left = _split(left, node.depth + 1)
+        return _search(left, st, strict) or r_right
     return r_right
 
 
@@ -227,9 +257,9 @@ def tree_dim(tree) -> Optional[int]:
     if isinstance(tree, EmptyTree):
         return None
     node = tree
-    while not isinstance(node, KdLeaf):
-        node = node.left
-    return len(node.vec)
+    while type(node) is KdSplit:
+        node = node._left  # read without splitting
+    return len(node.vec) if type(node) is KdLeaf else len(node[0])
 
 
 def _run_query(tree, u: Vector, stats: Optional[Stats], strict: bool) -> bool:

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,12 @@ from downset.kdtree import (
     KdSplit,
     build_kdtree,
     member_kdtree,
-    prec_median,
     strict_member_kdtree,
+    tree_dim,
     tree_height,
     tree_leaves,
 )
-from util import adversarial_vectors, rand_antichain
+from util import adversarial_vectors, prec_median, rand_antichain
 
 KD = get_backend("kdtree")
 
@@ -97,6 +99,125 @@ def test_split_invariants_hold_structurally():
                 assert all(x < node.value for x in left_vals)
             stack.append(node.left)
             stack.append(node.right)
+
+
+def _reference_tree(vectors, depth, k):
+    """Eager tree from the definition: the median under value-then-position
+    splits, the smaller half goes left, the median last on the right."""
+    if len(vectors) == 1:
+        return ("leaf", vectors[0])
+    i = depth % k
+    col = [v[i] for v in vectors]
+    m = prec_median(col)
+    mu = col[m]
+    left = [v for j, v in enumerate(vectors) if (col[j], j) < (mu, m)]
+    right = [v for j, v in enumerate(vectors) if (col[j], j) > (mu, m)] + [vectors[m]]
+    return ("split", mu, depth, any(v[i] == mu for v in left),
+            _reference_tree(left, depth + 1, k), _reference_tree(right, depth + 1, k))
+
+
+def _as_reference(node):
+    """The tree in the reference's shape; reading ``left``/``right`` splits
+    every pending child."""
+    if isinstance(node, KdLeaf):
+        return ("leaf", node.vec)
+    return ("split", node.value, node.depth, node.left_allows_equal,
+            _as_reference(node.left), _as_reference(node.right))
+
+
+def _split_nodes(tree):
+    """Nodes split so far, counted without splitting any."""
+    count, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        if type(node) is list:
+            continue
+        count += 1
+        if isinstance(node, KdSplit):
+            stack += [node._left, node._right]
+    return count
+
+
+def test_lazy_tree_equals_eager_reference():
+    rng = random.Random(5)
+    for trial in range(3000):
+        k = rng.randint(1, 6)
+        top = rng.choice((1, 2, 4, 9))
+        vecs = [tuple(rng.randint(0, top) for _ in range(k)) for _ in range(rng.randint(1, 64))]
+        if trial % 2:
+            # a raw collection keeps duplicates and comparable vectors
+            vecs = [rng.choice(vecs) if rng.random() < 0.2 else v for v in vecs]
+            source = vecs
+        else:
+            source = Antichain(vecs, dim=k)
+            vecs = list(source.vectors)
+        assert _as_reference(build_kdtree(source)) == _reference_tree(vecs, 0, k)
+
+
+def test_first_query_splits_only_the_nodes_it_visits():
+    rng = random.Random(13)
+    partial = 0
+    for _ in range(80):
+        k = rng.randint(1, 6)
+        a = rand_antichain(rng, k, rng.randint(1, 64), 9)
+        for _ in range(5):
+            u = tuple(rng.randint(0, 9) for _ in range(k))
+            for query in (member_kdtree, strict_member_kdtree):
+                tree = build_kdtree(a)
+                assert _split_nodes(tree) == 1
+                s = Stats()
+                query(tree, u, s)
+                assert _split_nodes(tree) == s.node_visits
+                partial += s.node_visits < 2 * len(a) - 1
+    assert partial > 0
+
+
+def test_dimension_reads_split_nothing():
+    tree = build_kdtree([(3, 1, 2), (1, 3, 2), (2, 2, 3), (0, 0, 4)])
+    assert tree_dim(tree) == 3
+    with pytest.raises(DimensionMismatch):
+        member_kdtree(tree, (1, 1))
+    with pytest.raises(DimensionMismatch):
+        strict_member_kdtree(tree, (1, 1, 1, 1))
+    assert _split_nodes(tree) == 1
+
+
+def test_concurrent_searches_of_one_fresh_tree_agree():
+    # searches split nodes as they go; racing splits of one node build equal
+    # subtrees, so every thread must see the same verdicts and counts
+    rng = random.Random(19)
+    k = 4
+    a = rand_antichain(rng, k, 64, 12)
+    queries = [tuple(rng.randint(0, 12) for _ in range(k)) for _ in range(200)]
+    queries += list(a.vectors)
+    expected = []
+    for u in queries:
+        s = Stats()
+        expected.append((member_kdtree(build_kdtree(a), u, s), s.comparisons, s.node_visits))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            tree = build_kdtree(a)
+            results = [None] * 4
+
+            def search(slot):
+                out = []
+                for u in queries:
+                    s = Stats()
+                    out.append((member_kdtree(tree, u, s), s.comparisons, s.node_visits))
+                results[slot] = out
+
+            threads = [threading.Thread(target=search, args=(slot,)) for slot in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == [expected] * 4
+            assert _as_reference(tree) == _reference_tree(list(a.vectors), 0, k)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_member_zero_vector_early_exit():

@@ -59,6 +59,23 @@ def adversarial_vectors(rng, k, m, special):
     return vecs
 
 
+def _prec_order(values):
+    """Positions in the value-then-position order: the sort is stable, so
+    ties keep their position."""
+    return sorted(range(len(values)), key=values.__getitem__)
+
+
+def prec_median(values):
+    """Position of the median under the value-then-position order.
+
+    For p values this is the ceil(p/2)-th largest, i.e. the element of
+    ascending rank floor(p/2); the result is unique and deterministic.
+    """
+    if not values:
+        raise ValueError("median of an empty sequence")
+    return _prec_order(values)[len(values) // 2]
+
+
 def pair_family(n):
     """The 2^n vectors of length 2n made of blocks (0,1) or (1,0); pairwise
     incomparable, yet their minimal layered DAG has only 4n+1 nodes."""
