@@ -6,7 +6,6 @@ from .core import (
     DimensionMismatch,
     Stats,
     VectorSetFormatError,
-    compare,
     compare_counted,
     format_vector_set,
     intersect_list,
@@ -29,7 +28,6 @@ __all__ = [
     "Stats",
     "VectorSetFormatError",
     "choose_backend",
-    "compare",
     "compare_counted",
     "format_vector_set",
     "get_backend",

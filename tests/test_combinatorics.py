@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from downset import compare, ComparisonOutcome
+from downset import ComparisonOutcome
 from downset.combinatorics import (
     GridTooLarge,
     check_middle_layer_conjecture,
@@ -19,6 +19,7 @@ from downset.combinatorics import (
     random_good_antichain_2d,
     width,
 )
+from util import compare
 
 
 def test_count_2d_examples():

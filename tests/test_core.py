@@ -1,4 +1,8 @@
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +14,6 @@ from downset import (
     DimensionMismatch,
     Stats,
     VectorSetFormatError,
-    compare,
     compare_counted,
     format_vector_set,
     intersect_list,
@@ -20,7 +23,9 @@ from downset import (
     parse_vector_set,
     union_list,
 )
-from util import box_points, brute_downset, brute_member, rand_antichain
+from downset import core
+from downset.core import strict_member_list
+from util import box_points, brute_downset, brute_member, compare, rand_antichain
 
 LESS = ComparisonOutcome.LESS
 GREATER = ComparisonOutcome.GREATER
@@ -115,6 +120,113 @@ def test_member_list_comparison_budget():
         s = Stats()
         member_list(a, u, s)
         assert s.comparisons <= (k + 1) * len(a)
+
+
+def test_strict_member_list_checks_query_dimension_on_entry():
+    for ac in (Antichain((), dim=2), Antichain([(1, 2)])):
+        with pytest.raises(DimensionMismatch):
+            strict_member_list(ac, (1, 2, 3))
+
+
+def _reference_strict_member(ac, u, stats):
+    for v in ac.vectors:
+        if compare_counted(u, v, stats) is LESS:
+            return True
+    return False
+
+
+def test_strict_member_list_matches_compare_counted():
+    # same verdicts and counts as a scan that calls compare_counted per member
+    rng = random.Random(9)
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        a = rand_antichain(rng, k, rng.randint(1, 12), 5)
+        queries = [tuple(rng.randint(0, 6) for _ in range(k)) for _ in range(6)]
+        queries += list(a.vectors[:2])  # equal to a member: never strictly dominated
+        for u in queries:
+            for q in (u, list(u)):
+                got, ref = Stats(), Stats()
+                assert strict_member_list(a, q, got) == _reference_strict_member(a, u, ref)
+                assert got.comparisons == ref.comparisons
+        assert strict_member_list(a, a.vectors[0]) is False
+
+
+def _collection(rng, k, m):
+    """m distinct vectors, some dominated by others, plus duplicates, shuffled."""
+    w = 2 * m if k == 1 else max(3, m // 4)
+    distinct, vs = set(), []
+    while len(vs) < m:
+        if vs and rng.random() < 0.4:
+            v = list(rng.choice(vs))
+            i = rng.randrange(k)
+            v[i] = max(0, v[i] - rng.randint(1, 3))  # lowered: dominated
+            v = tuple(v)
+        else:
+            v = tuple(rng.randint(0, w) for _ in range(k))
+        if v not in distinct:
+            distinct.add(v)
+            vs.append(v)
+    vs += [rng.choice(vs) for _ in range(m // 3)]
+    rng.shuffle(vs)
+    return vs
+
+
+def _check_kernels_agree(vs):
+    counted = core._max_of(vs, Stats())
+    assert core._max_of(vs) == counted
+    assert core._max_of_bitset(sorted(set(vs), reverse=True)) == counted
+
+
+def test_bitset_reduction_matches_counted_scan(monkeypatch):
+    rng = random.Random(17)
+    n, block = core._BITSET_MIN, core._BITSET_BLOCK
+    for k in range(1, 9):
+        for m in (1, 2, n - 1, n, n + 1, 3 * n):
+            for _ in range(3):
+                _check_kernels_agree(_collection(rng, k, m))
+    for k in (1, 3, 8):
+        for m in (block - 1, block, block + 1):
+            _check_kernels_agree(_collection(rng, k, m))
+    for m in (n - 1, n, n + 1):
+        _check_kernels_agree(_collection(rng, 2000, m))
+    monkeypatch.setattr(core, "_BITSET_BLOCK", 5)  # many blocks on small inputs
+    for k in (1, 2, 4, 8, 2000):
+        for m in (4, 5, 6, 11, 40):
+            _check_kernels_agree(_collection(rng, k, m))
+
+
+_LAYER_SCRIPT = """
+import itertools, json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from downset import Antichain
+layer = [v + (40 - sum(v),) for v in itertools.product(range(41), repeat=3) if sum(v) <= 40]
+lowered = []
+for v in layer:
+    i = next(i for i, x in enumerate(v) if x)
+    lowered.append(v[:i] + (v[i] - 1,) + v[i + 1:])
+vectors = layer + lowered
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = time.perf_counter()
+ac = Antichain(vectors, dim=4)
+elapsed = time.perf_counter() - start
+grown_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(json.dumps({"layer": len(layer), "distinct": len(set(vectors)), "exact": ac.vectors == tuple(sorted(layer)),
+                  "seconds": elapsed, "grown_mib": grown_kib / 1024}))
+"""
+
+
+def test_large_antichain_reduction_is_fast_and_small():
+    # the sum-40 layer of N^4 plus a lowered copy of each member: pairwise this
+    # is ~10^8 vector pairs, and one unblocked mask per vector would take
+    # about 68 MiB
+    package_root = str(Path(core.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", _LAYER_SCRIPT, package_root],
+                         capture_output=True, text=True, timeout=120, check=True)
+    res = json.loads(out.stdout)
+    assert (res["layer"], res["distinct"]) == (12341, 23821)
+    assert res["exact"]
+    assert res["seconds"] < 5, res
+    assert res["grown_mib"] < 64, res
 
 
 def test_union_examples():

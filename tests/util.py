@@ -7,7 +7,23 @@ antichain generator maintains maximality by definition-level checks.
 
 import itertools
 
-from downset import Antichain
+from downset import Antichain, ComparisonOutcome, DimensionMismatch
+
+
+def compare(u, v):
+    """Product-order comparison by definition: the oracle for
+    ``compare_counted``."""
+    if len(u) != len(v):
+        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
+    less = any(a < b for a, b in zip(u, v))
+    greater = any(a > b for a, b in zip(u, v))
+    if less and greater:
+        return ComparisonOutcome.INCOMPARABLE
+    if less:
+        return ComparisonOutcome.LESS
+    if greater:
+        return ComparisonOutcome.GREATER
+    return ComparisonOutcome.EQUAL
 
 
 def box_points(k, top):
