@@ -58,28 +58,22 @@ def choose_backend(k: int, m: int, n: int) -> BackendChoice:
     return BackendChoice(kind, k, m, n)
 
 
-def member_adaptive(ac: Antichain, u: Vector, stats: Optional[Stats] = None,
-                    force: Optional[str] = None) -> bool:
-    kind = force or choose_backend(ac.dim, len(ac), len(ac)).kind
-    if kind == "kdtree" and len(ac) > 0:
+def member_adaptive(ac: Antichain, u: Vector, stats: Optional[Stats] = None) -> bool:
+    if choose_backend(ac.dim, len(ac), len(ac)).kind == "kdtree":
         return member(_kd, ac, u, stats)
     return member_list(ac, u, stats)
 
 
-def union_adaptive(a: Antichain, b: Antichain, stats: Optional[Stats] = None,
-                   force: Optional[str] = None) -> Antichain:
+def union_adaptive(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
     m, n = sorted((len(a), len(b)))
-    kind = force or choose_backend(a.dim, m, n).kind
-    if kind == "kdtree" and m > 0:
+    if choose_backend(a.dim, m, n).kind == "kdtree":
         return union(_kd, a, b, stats)
     return union_list(a, b, stats)
 
 
-def intersect_adaptive(a: Antichain, b: Antichain, stats: Optional[Stats] = None,
-                       force: Optional[str] = None) -> Antichain:
+def intersect_adaptive(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
     m, n = sorted((len(a), len(b)))
-    kind = force or choose_backend(a.dim, m, n).kind
-    if kind == "kdtree" and m > 0:
+    if choose_backend(a.dim, m, n).kind == "kdtree":
         return intersect(_kd, a, b, stats)
     return intersect_list(a, b, stats)
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .adaptive import get_backend
-from .core import Antichain, Stats, member_list, union_list, intersect_list
+from .core import (INCOMPARABLE, Antichain, Stats, compare_counted, intersect_list, member_list,
+                   union_list)
 from .combinatorics import random_antichain
 
 OPS = ("membership", "union", "intersection")
@@ -82,20 +83,7 @@ def _overlapping_antichain(base: Antichain, t: int, maxval: int, rng: random.Ran
     while draws < budget and len(current) < t:
         draws += 1
         v = tuple(rng.randint(0, maxval) for _ in range(k))
-        comparable = False
-        for w in current:
-            below = above = True
-            for a, b in zip(v, w):
-                if a > b:
-                    below = False
-                elif a < b:
-                    above = False
-                if not below and not above:
-                    break
-            if below or above:
-                comparable = True
-                break
-        if not comparable:
+        if all(compare_counted(v, w) is INCOMPARABLE for w in current):
             current.append(v)
     if len(current) < t:
         raise InfeasibleBench(f"could not grow overlap antichain to size {t}")
@@ -121,7 +109,7 @@ def _member_queries(ac: Antichain, t: int, maxval: int, rng: random.Random):
         if attempts > 1000 * t:
             raise InfeasibleBench(f"cannot sample non-members for k={k}, maxval={maxval}")
         u = tuple(rng.randint(0, maxval) for _ in range(k))
-        if not member_list(ac, u, Stats()):
+        if not member_list(ac, u):
             non_members.append(u)
     return members, non_members
 
@@ -167,7 +155,7 @@ def run_setop_bench(spec: BenchSpec) -> List[Row]:
         maxval = spec.maxval if spec.maxval is not None else 2 * t
         a = _instance_antichain(spec.k, t, maxval, rng)
         b = _overlapping_antichain(a, t, maxval, rng)
-        expected = union_list(a, b, Stats()) if op_name == "union" else intersect_list(a, b, Stats())
+        expected = union_list(a, b) if op_name == "union" else intersect_list(a, b)
         for backend in spec.backends:
             ops = get_backend(backend)
             stats = Stats()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Optional
 
-from .core import Antichain, Vector
+from .core import EQUAL, GREATER, INCOMPARABLE, LESS, Antichain, compare_counted
 
 GRID_POINT_LIMIT = 2 ** 20
 
@@ -55,16 +55,6 @@ def grid_points(d: int, ell: int) -> list:
     return [tuple(p) for p in itertools.product(range(ell), repeat=d)]
 
 
-def _incomparable(p: Vector, q: Vector) -> bool:
-    less = greater = False
-    for a, b in zip(p, q):
-        if a < b:
-            less = True
-        elif a > b:
-            greater = True
-    return less and greater
-
-
 def enumerate_antichains(d: int, ell: int) -> Iterator[tuple]:
     """Every antichain of [ell]^d exactly once, the empty one included.
 
@@ -79,7 +69,7 @@ def enumerate_antichains(d: int, ell: int) -> Iterator[tuple]:
         yield tuple(chosen)
         for idx in range(start, len(points)):
             p = points[idx]
-            if all(_incomparable(p, c) for c in chosen):
+            if all(compare_counted(p, c) is INCOMPARABLE for c in chosen):
                 chosen.append(p)
                 yield from extend(idx + 1)
                 chosen.pop()
@@ -129,7 +119,7 @@ def width(d: int, ell: int) -> int:
         for i, p in enumerate(cands):
             if size + len(cands) - i <= best:
                 return
-            grow([q for q in cands[i + 1:] if _incomparable(p, q)], size + 1)
+            grow([q for q in cands[i + 1:] if compare_counted(p, q) is INCOMPARABLE], size + 1)
 
     grow(points, 0)
     return best
@@ -195,41 +185,9 @@ def random_antichain(k: int, target_m: int, maxval: int, seed) -> GeneratedAntic
     while draws < budget and len(current) < target_m:
         draws += 1
         v = tuple(rng.randint(0, maxval) for _ in range(k))
-        dominated = False
-        for w in current:
-            below = True
-            for a, b in zip(v, w):
-                if a > b:
-                    below = False
-                    break
-            if below:
-                dominated = True  # v <= w (equality included)
-                break
-        if dominated:
+        if any(compare_counted(v, w) in (LESS, EQUAL) for w in current):
             continue
-        current = [w for w in current if not _dominates_strict(v, w)]
+        current = [w for w in current if compare_counted(v, w) is not GREATER]
         current.append(v)
     ac = Antichain._from_maximal(k, sorted(current)) if current else Antichain((), dim=k)
     return GeneratedAntichain(ac, len(ac) >= target_m, draws)
-
-
-def _dominates_strict(v: Vector, w: Vector) -> bool:
-    """True iff w < v."""
-    strict = False
-    for a, b in zip(w, v):
-        if a > b:
-            return False
-        if a < b:
-            strict = True
-    return strict
-
-
-def random_good_antichain_2d(ell: int, n: int, seed) -> Antichain:
-    """Random 2-d antichain with all per-dimension values distinct: an
-    increasing first coordinate paired with a decreasing second one."""
-    if n < 1 or n > ell:
-        raise ValueError(f"size {n} impossible for a good antichain in [{ell}]^2")
-    rng = random.Random(seed)
-    ps = sorted(rng.sample(range(ell), n))
-    qs = sorted(rng.sample(range(ell), n), reverse=True)
-    return Antichain._from_maximal(2, sorted(zip(ps, qs)))

@@ -8,21 +8,20 @@ the antichain itself, doubles as the correctness oracle for every other
 backend in the package.
 
 Vectors are plain tuples of non-negative ints.  Antichains are immutable
-after construction; only their operation counters mutate.  All query
-functions accumulate counts locally and merge them once on return, so
-concurrent readers never observe torn updates.
+values.  Every operation counts its work into the ``stats`` its caller
+passes, and ``stats=None`` means nothing is counted.
 
 The maximal-element reduction has two kernels.  A reduction that counts
-its comparisons (the meets of :func:`intersect`, ``maxac(..., stats)``)
-runs the pairwise scan, whose scalar comparisons define the counters.  An
-uncounted one (``Antichain(...)``, ``maxac`` without ``stats``, so also
-parsing and ``cst.maximal_elements``) of at least ``_BITSET_MIN`` = 32
-distinct vectors runs a word-parallel bitset kernel (after Tan, Eng & Ooi,
-VLDB 2001): one sort and one pass per coordinate, O(k·m) big-int operations
-for m ≤ ``_BITSET_BLOCK`` = 1024 vectors, and blocks of that many
-candidates beyond, so its masks take about 1024·m bits.  Below 32 vectors,
-as in the parity solver's images of 1 to 7 vectors, the pairwise scan is
-faster.
+its comparisons (the meets of a counted :func:`intersect`,
+``maxac(..., stats)``) runs the pairwise scan, whose scalar comparisons
+define the counters.  An uncounted one (``Antichain(...)``, ``maxac`` or
+:func:`intersect` without ``stats``, so also parsing and
+``cst.maximal_elements``) of at least ``_BITSET_MIN`` = 32 distinct vectors
+runs a word-parallel bitset kernel (after Tan, Eng & Ooi, VLDB 2001): one
+sort and one pass per coordinate, O(k·m) big-int operations for
+m ≤ ``_BITSET_BLOCK`` = 1024 vectors, and blocks of that many candidates
+beyond, so its masks take about 1024·m bits.  Below 32 vectors, as in the
+parity solver's images of 1 to 7 vectors, the pairwise scan is faster.
 """
 
 from __future__ import annotations
@@ -75,10 +74,6 @@ class Stats:
     def merge(self, comparisons: int = 0, node_visits: int = 0) -> None:
         self.comparisons += comparisons
         self.node_visits += node_visits
-
-    def reset(self) -> None:
-        self.comparisons = 0
-        self.node_visits = 0
 
     def __repr__(self) -> str:
         return f"Stats(comparisons={self.comparisons}, node_visits={self.node_visits})"
@@ -220,7 +215,7 @@ class Antichain:
     Construction runs arbitrary input through the maximal-element reduction.
     """
 
-    __slots__ = ("dim", "vectors", "stats")
+    __slots__ = ("dim", "vectors")
 
     def __init__(self, vectors: Iterable[Vector] = (), dim: Optional[int] = None):
         vecs = [tuple(v) for v in vectors]
@@ -238,7 +233,6 @@ class Antichain:
                     raise ValueError(f"components must be natural numbers, got {x!r}")
         self.dim = dim
         self.vectors = tuple(_max_of(vecs))
-        self.stats = Stats()
 
     @classmethod
     def _from_maximal(cls, dim: int, sorted_vectors) -> "Antichain":
@@ -246,7 +240,6 @@ class Antichain:
         ac = cls.__new__(cls)
         ac.dim = dim
         ac.vectors = tuple(sorted_vectors)
-        ac.stats = Stats()
         return ac
 
     def __len__(self) -> int:
@@ -325,8 +318,8 @@ def member_list(ac: Antichain, u: Vector, stats: Optional[Stats] = None) -> bool
         if ok:
             found = True
             break
-    tally = stats if stats is not None else ac.stats
-    tally.comparisons += comps
+    if stats is not None:
+        stats.comparisons += comps
     return found
 
 
@@ -421,54 +414,47 @@ def union(index: DownsetIndex, a: Antichain, b: Antichain,
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    tally = stats if stats is not None else a.stats
     strict_member = index.strict_member
     ia, ib = index.build(a), index.build(b)
     kept = set()
     for u in a.vectors:
-        if not strict_member(ib, u, tally):
+        if not strict_member(ib, u, stats):
             kept.add(u)
     for v in b.vectors:
-        if not strict_member(ia, v, tally):
+        if not strict_member(ia, v, stats):
             kept.add(v)
     return Antichain._from_maximal(a.dim, sorted(kept))
 
 
 def intersect(index: DownsetIndex, a: Antichain, b: Antichain,
-              stats: Optional[Stats] = None, optimize: bool = True) -> Antichain:
+              stats: Optional[Stats] = None) -> Antichain:
     """Intersection of downsets via meets of member pairs.
 
-    With ``optimize`` enabled, a member of one antichain that already lies in
-    the other downset contributes only itself: all its meets are dominated by
-    it, so they are skipped.  The remaining meets are reduced by
-    :func:`_max_of`.
+    A member of one antichain that already lies in the other downset
+    contributes only itself: all its meets are dominated by it, so they are
+    skipped.  The remaining meets are reduced by :func:`_max_of`.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    tally = stats if stats is not None else a.stats
+    member_of = index.member
+    ia, ib = index.build(a), index.build(b)
     candidates: list = []
-    if optimize:
-        member_of = index.member
-        ia, ib = index.build(a), index.build(b)
-        a_rest = []
-        for u in a.vectors:
-            if member_of(ib, u, tally):
-                candidates.append(u)
-            else:
-                a_rest.append(u)
-        b_rest = []
-        for v in b.vectors:
-            if member_of(ia, v, tally):
-                candidates.append(v)
-            else:
-                b_rest.append(v)
-    else:
-        a_rest = list(a.vectors)
-        b_rest = list(b.vectors)
+    a_rest = []
+    for u in a.vectors:
+        if member_of(ib, u, stats):
+            candidates.append(u)
+        else:
+            a_rest.append(u)
+    b_rest = []
+    for v in b.vectors:
+        if member_of(ia, v, stats):
+            candidates.append(v)
+        else:
+            b_rest.append(v)
     for u in a_rest:
         for v in b_rest:
             candidates.append(tuple(x if x < y else y for x, y in zip(u, v)))
-    return Antichain._from_maximal(a.dim, _max_of(candidates, tally))
+    return Antichain._from_maximal(a.dim, _max_of(candidates, stats))
 
 
 def union_list(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
@@ -476,10 +462,9 @@ def union_list(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Ant
     return union(ListIndex, a, b, stats)
 
 
-def intersect_list(a: Antichain, b: Antichain, stats: Optional[Stats] = None,
-                   optimize: bool = True) -> Antichain:
+def intersect_list(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
     """:func:`intersect` on the list backend."""
-    return intersect(ListIndex, a, b, stats, optimize)
+    return intersect(ListIndex, a, b, stats)
 
 
 # ---------------------------------------------------------------------------

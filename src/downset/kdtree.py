@@ -155,22 +155,6 @@ def tree_height(tree) -> int:
     return 1 + max(tree_height(tree.left), tree_height(tree.right))
 
 
-def tree_leaves(tree) -> list:
-    """Leaf vectors left to right."""
-    if isinstance(tree, EmptyTree):
-        return []
-    out: list = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, KdLeaf):
-            out.append(node.vec)
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
-
-
 class _Search:
     """Per-query mutable state: region lower bounds, the pending-coordinate
     counter, and instrumentation."""

@@ -227,16 +227,6 @@ def _cpre_vertex(mu: List[Antichain], u: int, game: ParityGame, space: CounterSp
     return ops.intersect(mu[u], combined)
 
 
-def cpre_step(mu: List[Antichain], game: ParityGame, backend: str = "list"):
-    """One synchronous refinement of the whole map; returns the new map and
-    the set of vertices whose downset shrank."""
-    ops = get_backend(backend)
-    space = counter_space(game)
-    nu = [_cpre_vertex(mu, u, game, space, ops) for u in range(len(game))]
-    changed = {u for u in range(len(game)) if nu[u] != mu[u]}
-    return nu, changed
-
-
 @dataclass
 class SolveResult:
     winners: List[int]            # per vertex: EVEN or ODD

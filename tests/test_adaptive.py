@@ -57,15 +57,6 @@ def test_adaptive_results_match_list_backend():
             assert member_adaptive(a, u) == member_list(a, u)
 
 
-def test_forced_choice_respected():
-    a = Antichain([(2, 0), (0, 2)])
-    b = Antichain([(1, 1)])
-    for force in ("list", "kdtree"):
-        assert union_adaptive(a, b, force=force) == union_list(a, b)
-        assert intersect_adaptive(a, b, force=force) == intersect_list(a, b)
-        assert member_adaptive(a, (1, 0), force=force) is True
-
-
 def test_empty_operands():
     empty = Antichain((), dim=2)
     b = Antichain([(1, 1)])

@@ -16,7 +16,6 @@ from downset.combinatorics import (
     grid_points,
     layer_size,
     random_antichain,
-    random_good_antichain_2d,
     width,
 )
 from util import compare
@@ -131,24 +130,3 @@ def test_random_antichain_impossible_target_warns():
     g = random_antichain(1, 2, 5, seed=3)
     assert len(g.antichain) == 1
     assert g.target_reached is False
-
-
-def test_good_antichain_forced_case():
-    assert random_good_antichain_2d(3, 3, seed=1).vectors == ((0, 2), (1, 1), (2, 0))
-    assert len(random_good_antichain_2d(5, 1, seed=9)) == 1
-    with pytest.raises(ValueError):
-        random_good_antichain_2d(3, 4, seed=0)
-
-
-@given(st.integers(1, 10), st.data())
-@settings(max_examples=60, deadline=None)
-def test_good_antichain_properties(ell, data):
-    n = data.draw(st.integers(1, ell))
-    seed = data.draw(st.integers(0, 10 ** 6))
-    ac = random_good_antichain_2d(ell, n, seed)
-    assert len(ac) == n
-    xs = [v[0] for v in ac.vectors]
-    ys = [v[1] for v in ac.vectors]
-    assert len(set(xs)) == n and len(set(ys)) == n
-    for u, v in itertools.combinations(ac.vectors, 2):
-        assert compare(u, v) is ComparisonOutcome.INCOMPARABLE

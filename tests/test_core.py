@@ -272,12 +272,6 @@ def test_set_ops_algebra():
         assert intersect_list(intersect_list(a, b), c) == intersect_list(a, intersect_list(b, c))
 
 
-def test_intersection_optimization_is_transparent():
-    rng = random.Random(31)
-    for a, b in small_antichains(rng, 60):
-        assert intersect_list(a, b, optimize=True) == intersect_list(a, b, optimize=False)
-
-
 def test_member_list_agrees_with_enumeration():
     rng = random.Random(47)
     for _ in range(40):
@@ -310,12 +304,10 @@ def test_list_setop_comparison_counts_are_pinned():
     rng = random.Random(2025)
     a = rand_antichain(rng, 5, 30, 9)
     b = rand_antichain(rng, 5, 30, 9)
-    for op, kwargs, expected in ((union_list, {}, 5754),
-                                 (intersect_list, {}, 6786),
-                                 (intersect_list, {"optimize": False}, 24734)):
+    for op, expected in ((union_list, 5754), (intersect_list, 6786)):
         s = Stats()
-        op(a, b, s, **kwargs)
-        assert s.comparisons == expected, (op.__name__, kwargs)
+        op(a, b, s)
+        assert s.comparisons == expected, op.__name__
 
 
 def test_vector_set_format_round_trip():
@@ -345,11 +337,34 @@ def test_vector_set_parser_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
-def test_counters_accumulate_on_first_operand_by_default():
+def test_uncounted_operations_leave_antichains_without_counters():
     a = Antichain([(2, 0), (0, 2)])
-    before = a.stats.comparisons
-    member_list(a, (1, 1))
-    assert a.stats.comparisons > before
+    b = Antichain([(1, 1)])
+    assert member_list(a, (1, 1)) is False
+    assert union_list(a, b) == Antichain([(2, 0), (0, 2), (1, 1)])
+    for ac in (a, b):
+        assert not hasattr(ac, "stats")
     s = Stats()
     member_list(a, (1, 1), s)
     assert s.comparisons > 0
+
+
+def test_uncounted_intersection_reduces_meets_with_the_bitset_kernel(monkeypatch):
+    # no member of one operand lies in the other downset, and the 100 meets
+    # (i, 9-i, j, 9-j) are distinct and pairwise incomparable
+    a = Antichain([(i, 9 - i, 9, 9) for i in range(10)])
+    b = Antichain([(9, 9, j, 9 - j) for j in range(10)])
+    calls = []
+    kernel = core._max_of_bitset
+
+    def spy(uniq):
+        calls.append(len(uniq))
+        return kernel(uniq)
+
+    monkeypatch.setattr(core, "_max_of_bitset", spy)
+    counted = intersect_list(a, b, Stats())
+    assert calls == []
+    uncounted = intersect_list(a, b)
+    assert calls == [100]
+    assert uncounted == counted
+    assert len(uncounted) == 100

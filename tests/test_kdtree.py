@@ -19,9 +19,8 @@ from downset.kdtree import (
     strict_member_kdtree,
     tree_dim,
     tree_height,
-    tree_leaves,
 )
-from util import adversarial_vectors, prec_median, rand_antichain
+from util import adversarial_vectors, prec_median, rand_antichain, tree_leaves
 
 KD = get_backend("kdtree")
 

@@ -12,7 +12,6 @@ from downset.parity import (
     bwd_counter,
     check_even_strategy,
     counter_space,
-    cpre_step,
     down_bwd,
     initial_counters,
     parse_pgsolver,
@@ -20,7 +19,7 @@ from downset.parity import (
     synthesize_even_strategy,
     zielonka,
 )
-from util import rand_game
+from util import cpre_step, rand_game
 
 # hand-traced reference games
 G_ODD_LOOP = ParityGame([1], [1], [[0]], [0])          # odd self-loop, priority 1

@@ -1,13 +1,17 @@
 """Shared oracles and instance generators for the test suite.
 
-Everything here is deliberately independent of the backend implementations:
-membership oracles enumerate, set oracles compare boxes pointwise, and the
-antichain generator maintains maximality by definition-level checks.
+The oracles here are deliberately independent of the backend
+implementations: membership oracles enumerate, set oracles compare boxes
+pointwise, and the antichain generator maintains maximality by
+definition-level checks.  ``tree_leaves`` and ``cpre_step`` instead reach
+into the k-d tree and the parity solver for structural tests.
 """
 
 import itertools
 
-from downset import Antichain, ComparisonOutcome, DimensionMismatch
+from downset import Antichain, ComparisonOutcome, DimensionMismatch, get_backend
+from downset.kdtree import EmptyTree, KdLeaf
+from downset.parity import ParityGame, _cpre_vertex, counter_space
 
 
 def compare(u, v):
@@ -101,9 +105,33 @@ def pair_family(n):
     return Antichain(vecs, dim=2 * n)
 
 
-def rand_game(rng, nv, maxp, maxdeg):
-    from downset.parity import ParityGame
+def tree_leaves(tree) -> list:
+    """Leaf vectors left to right."""
+    if isinstance(tree, EmptyTree):
+        return []
+    out: list = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, KdLeaf):
+            out.append(node.vec)
+        else:
+            stack.append(node.right)
+            stack.append(node.left)
+    return out
 
+
+def cpre_step(mu, game, backend="list"):
+    """One synchronous refinement of the whole map; returns the new map and
+    the set of vertices whose downset shrank."""
+    ops = get_backend(backend)
+    space = counter_space(game)
+    nu = [_cpre_vertex(mu, u, game, space, ops) for u in range(len(game))]
+    changed = {u for u in range(len(game)) if nu[u] != mu[u]}
+    return nu, changed
+
+
+def rand_game(rng, nv, maxp, maxdeg):
     owners = [rng.randint(0, 1) for _ in range(nv)]
     prios = [rng.randint(0, maxp) for _ in range(nv)]
     succs = []
