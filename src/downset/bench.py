@@ -40,7 +40,6 @@ class BenchSpec:
     seed: int = 0
     backends: Sequence[str] = ("list", "kdtree")
     metric: str = "comparisons"
-    check: bool = True                    # verify outputs against the list oracle
 
     def __post_init__(self) -> None:
         if self.op not in OPS:
@@ -135,11 +134,11 @@ def run_membership_bench(spec: BenchSpec) -> List[Row]:
             start = time.perf_counter()
             for u in members:
                 verdict = ops.member(ac, u, stats)
-                if spec.check and not verdict:
+                if not verdict:
                     raise AssertionError(f"backend {backend} rejected a member query")
             for u in non_members:
                 verdict = ops.member(ac, u, stats)
-                if spec.check and verdict:
+                if verdict:
                     raise AssertionError(f"backend {backend} accepted a non-member query")
             elapsed = time.perf_counter() - start
             rows.append(Row(t, backend, "membership", spec.metric,
@@ -165,7 +164,7 @@ def run_setop_bench(spec: BenchSpec) -> List[Row]:
             else:
                 out = ops.intersect(a, b, stats)
             elapsed = time.perf_counter() - start
-            if spec.check and out != expected:
+            if out != expected:
                 raise AssertionError(f"backend {backend} disagrees with the list oracle at t={t}")
             rows.append(Row(t, backend, op_name, spec.metric,
                             _metric_value(spec.metric, stats, elapsed), len(out), spec.seed))

@@ -32,16 +32,14 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import Antichain, DimensionMismatch, Stats, Vector, maxac
-from .sharingtree import TOP, STNode, STree, _build, _member, iter_vectors
+from .sharingtree import TOP, STNode, STree, _build, _search, iter_vectors
 
 
-def simulates(n: STNode, m: STNode, memo: Optional[dict] = None) -> bool:
+def simulates(n: STNode, m: STNode) -> bool:
     """True iff ``n`` is forward-simulated by ``m`` (same layer required)."""
     if n.layer != m.layer:
         raise ValueError("simulation compares nodes of the same layer only")
-    if memo is None:
-        memo = {}
-    return _sim(n, m, memo)
+    return _sim(n, m, {})
 
 
 def _sim(n: STNode, m: STNode, memo: dict) -> bool:
@@ -86,7 +84,7 @@ def build_cst(ac: Antichain) -> STree:
 
 def member_cst(tree: STree, u: Vector, stats: Optional[Stats] = None) -> bool:
     """Membership in the downward closure of the encoded language."""
-    return _member(tree, u, stats)
+    return _search(tree, u, stats, False)
 
 
 def _union_nodes(ns: STNode, nt: STNode, memo: dict, unions: dict) -> STNode:

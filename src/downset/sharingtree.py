@@ -7,16 +7,15 @@ Construction builds the trie implicitly and minimizes bottom-up by giving
 every subtree a canonical identity (layer, value, successor identities) and
 caching on it, so equivalent subtrees are created once.
 
-Successors are kept in strictly decreasing value order, which gives the
-membership DFS its early exits: once the largest remaining successor value
-drops below the query component, no branch can dominate.  Whether a path
-below a node dominates the rest of a query depends on the node alone (and,
-for strict membership, on whether a component was already exceeded), so
-the DFS memoizes failed nodes and searches each node at most once per
-strictness bit.  The memo is a mark on the node: each search makes fresh
-marker objects and stamps a node with one when it fails, so a mark left by
-another search never matches.  A set of failed nodes would do the same,
-but its inserts doubled the query time on trees with little sharing.
+Successors are kept in strictly decreasing value order.  A membership
+query sweeps the DAG one layer per query component, keeping the nodes
+reached by a path that dominates the query's prefix; a successor list is
+read only down to the first value below the component.  Strict membership
+splits those nodes in two: reached by a path that already exceeds the
+query somewhere, and reached by a path equal to it so far.  Each node
+enters each set at most once, so a query costs O(nodes + edges).  Nothing
+recurses, and a query writes nothing into the nodes: a built tree is never
+changed, so any number of readers may search it at once.
 
 The covering sharing tree (``cst``) is the same layered DAG: it shares this
 module's node, build, search, iterator and DOT dump, and adds only its
@@ -33,14 +32,13 @@ TOP = None  # root value
 
 
 class STNode:
-    __slots__ = ("layer", "value", "succs", "uid", "mark")
+    __slots__ = ("layer", "value", "succs", "uid")
 
     def __init__(self, layer: int, value, succs, uid: int = -1):
         self.layer = layer
         self.value = value
         self.succs = succs  # tuple, strictly decreasing by value
         self.uid = uid
-        self.mark = None  # the failure marker of the last search that failed here
 
     def __repr__(self) -> str:
         return f"STNode(layer={self.layer}, value={self.value}, uid={self.uid})"
@@ -99,87 +97,48 @@ def _build(ac: Antichain) -> STree:
     return STree(root, dim, len(nodes) + 1, edge_count)
 
 
-def _query(tree: STree, u: Vector) -> Vector:
+def _search(tree: STree, u: Vector, stats: Optional[Stats], strict: bool) -> bool:
+    """Sweep the DAG one layer per component of ``u`` for a path dominating
+    it (and, if ``strict``, exceeding it in some component).
+
+    ``above`` holds the nodes reached by a path that already exceeds ``u``
+    somewhere (for plain membership, every node reached); ``level`` holds
+    those reached by a path equal to ``u`` so far.  A node enters each at
+    most once per search, and each successor list is read only down to the
+    first value below the query component.
+    """
     u = tuple(u)
     if len(u) != tree.dim:
         raise DimensionMismatch(f"query has length {len(u)}, tree has dimension {tree.dim}")
-    return u
-
-
-def _member(tree: STree, u: Vector, stats: Optional[Stats]) -> bool:
-    """DFS for a root-to-leaf path dominating ``u``, skipping failed nodes."""
-    u = _query(tree, u)
-    if tree.empty:
-        return False
-    last = tree.dim - 1
-    failed = object()
-    visits = 0
-    comps = 0
-
-    def dfs(node: STNode, layer: int) -> bool:
-        nonlocal visits, comps
-        visits += 1
-        x = u[layer]
-        if layer == last:
-            # second-to-last layer: the first (largest) successor decides
-            comps += 1
-            if node.succs[0].value >= x:
-                return True
-        else:
+    above: dict = {}
+    level: dict = {}
+    (level if strict else above)[tree.root] = None
+    visits = comps = 0
+    for x in u:
+        if not (above or level):
+            break
+        visits += len(above) + len(level)
+        next_above: dict = {}
+        next_level: dict = {}
+        for node in above:
             for s in node.succs:
                 comps += 1
                 if s.value < x:
                     break  # successors only get smaller
-                if s.mark is not failed and dfs(s, layer + 1):
-                    return True
-        node.mark = failed
-        return False
-
-    result = dfs(tree.root, 0)
-    if stats is not None:
-        stats.merge(comparisons=comps, node_visits=visits)
-    return result
-
-
-def _strict_member(tree: STree, u: Vector, stats: Optional[Stats]) -> bool:
-    """DFS with a strictness bit for a path dominating ``u`` and exceeding
-    it in at least one component; failed nodes are skipped per bit."""
-    u = _query(tree, u)
-    if tree.empty:
-        return False
-    last = tree.dim - 1
-    # A node that fails with the bit set has no dominating path below it, so
-    # it fails without the bit too: ``dead`` covers both bits, ``weak`` only
-    # the unset one.
-    dead, weak = object(), object()
-    visits = 0
-    comps = 0
-
-    def dfs(node: STNode, layer: int, strict: bool) -> bool:
-        nonlocal visits, comps
-        visits += 1
-        x = u[layer]
-        if layer == last:
-            comps += 2
-            top = node.succs[0].value
-            if top > x or (strict and top == x):
-                return True
-        else:
+                next_above[s] = None
+        for node in level:
             for s in node.succs:
                 comps += 2
                 if s.value < x:
                     break
-                bit = strict or s.value > x
-                mark = s.mark
-                if mark is not dead and (bit or mark is not weak) and dfs(s, layer + 1, bit):
-                    return True
-        node.mark = dead if strict else weak
-        return False
-
-    result = dfs(tree.root, 0, False)
+                if s.value > x:
+                    next_above[s] = None
+                else:
+                    next_level[s] = None
+        above, level = next_above, next_level
     if stats is not None:
         stats.merge(comparisons=comps, node_visits=visits)
-    return result
+    return bool(above)
 
 
 def build_sharingtree(ac: Antichain) -> STree:
@@ -189,56 +148,41 @@ def build_sharingtree(ac: Antichain) -> STree:
 
 def member_st(tree: STree, u: Vector, stats: Optional[Stats] = None) -> bool:
     """Is there a root-to-leaf path dominating ``u``?"""
-    return _member(tree, u, stats)
+    return _search(tree, u, stats, False)
 
 
 def strict_member_st(tree: STree, u: Vector, stats: Optional[Stats] = None) -> bool:
     """Is there a path dominating ``u`` and exceeding it in some component?"""
-    return _strict_member(tree, u, stats)
+    return _search(tree, u, stats, True)
 
 
 def iter_vectors(tree: STree) -> Iterator[Vector]:
     """All encoded vectors, in the DAG's depth-first order (decreasing
     values first)."""
-    if tree.empty:
-        return
-    k = tree.dim
-    prefix: list = []
-
-    def walk(node: STNode, layer: int):
-        if layer == k:
-            yield tuple(prefix)
-            return
-        for s in node.succs:
-            prefix.append(s.value)
-            yield from walk(s, layer + 1)
-            prefix.pop()
-
-    yield from walk(tree.root, 0)
+    paths = [((), tree.root)]
+    for _ in range(tree.dim):
+        paths = [(prefix + (s.value,), s) for prefix, node in paths for s in node.succs]
+    for prefix, _ in paths:
+        yield prefix
 
 
 def to_dot(tree: STree) -> str:
     """DOT dump of a layered DAG (sharing tree or covering sharing tree);
-    nodes are labeled ``layer:value``."""
+    nodes are labeled ``layer:value`` and numbered in depth-first preorder."""
+    names: dict = {}
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node not in names:
+            names[node] = f"n{len(names)}"
+            stack.extend(reversed(node.succs))
     lines = ["digraph sharingtree {", "  rankdir=TB;"]
-    seen = {}
-    order: list = []
-
-    def visit(node):
-        if id(node) in seen:
-            return
-        seen[id(node)] = f"n{len(seen)}"
-        order.append(node)
-        for s in node.succs:
-            visit(s)
-
-    visit(tree.root)
-    for node in order:
+    for node, name in names.items():
         value = "T" if node.value is TOP else str(node.value)
-        lines.append(f'  {seen[id(node)]} [label="{node.layer}:{value}"];')
-    for node in order:
+        lines.append(f'  {name} [label="{node.layer}:{value}"];')
+    for node, name in names.items():
         for s in node.succs:
-            lines.append(f"  {seen[id(node)]} -> {seen[id(s)]};")
+            lines.append(f"  {name} -> {names[s]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -28,7 +28,7 @@ def test_membership_rows_deterministic():
 
 
 def test_membership_labels_verified_by_harness():
-    # check=True makes the run itself assert every label on every backend
+    # the run itself asserts every label on every backend
     rows = run_membership_bench(small_spec(backends=("list", "kdtree", "sharingtree", "cst")))
     assert {r.backend for r in rows} == {"list", "kdtree", "sharingtree", "cst"}
     assert all(r.value > 0 for r in rows)

@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from downset import format_vector_set, load_vector_set, parse_vector_set, union_list
+from downset import (Antichain, format_vector_set, intersect_list, load_vector_set, parse_vector_set,
+                     union_list)
 from downset.cli import main
 
 A_TEXT = "dim 2\n0 2\n2 0\n"
@@ -170,6 +171,34 @@ def test_dump_dot(capsys, set_files, tmp_path):
                                      "--dump-dot", tmp_path / "x.dot"])
     assert code == 1
     assert "dump-dot" in err
+
+
+def test_high_dimension_sharing_tree_commands_without_traceback(tmp_path):
+    # one process per command, as a user runs them: at k=1000 a search that
+    # recursed once per coordinate would die with a RecursionError traceback
+    k = 1000
+    v = tuple(j % 5 for j in range(k))
+    w = v[:-2] + (9, 0)  # shares all but the last two components with v
+    a, b = Antichain([v]), Antichain([w])
+    pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+    pa.write_text(format_vector_set(a))
+    pb.write_text(format_vector_set(b))
+
+    def cli(*argv):
+        proc = subprocess.run([sys.executable, "-m", "downset.cli", *map(str, argv)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        return proc.stdout
+
+    query = " ".join(map(str, v[:-1] + (0,)))
+    for backend in ("sharingtree", "cst"):
+        dot = tmp_path / f"{backend}.dot"
+        assert cli("member", pa, query, "--backend", backend, "--dump-dot", dot).strip() == "true"
+        assert dot.read_text().count("label=") == k + 1
+    assert cli("union", pa, pb, "--backend", "sharingtree") == format_vector_set(union_list(a, b))
+    assert cli("intersect", pa, pb, "--backend", "sharingtree") == \
+        format_vector_set(intersect_list(a, b))
 
 
 def test_console_entry_point():

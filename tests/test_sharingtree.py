@@ -11,6 +11,7 @@ from downset.sharingtree import (
     strict_member_st,
     to_dot,
 )
+from downset.core import strict_member_list
 from downset.cst import build_cst, member_cst
 from util import pair_family, rand_antichain
 
@@ -83,18 +84,40 @@ def test_pair_family_node_counts():
         check_structure(tree)
 
 
-@pytest.mark.parametrize("build, search", [
-    (build_sharingtree, member_st),
-    (build_sharingtree, strict_member_st),
-    (build_cst, member_cst),
+@pytest.mark.parametrize("build, search, bound", [
+    (build_sharingtree, member_st, 1),
+    (build_sharingtree, strict_member_st, 2),
+    (build_cst, member_cst, 1),
 ], ids=["member_st", "strict_member_st", "member_cst"])
-def test_failure_memo_bounds_visits_on_pair_family(build, search):
-    # without the memo the DFS re-enters shared subtrees: about 3 * 2^n visits
-    for n in range(8, 13):
-        tree = build(pair_family(n))
+def test_failure_memo_bounds_visits_on_pair_family(build, search, bound):
+    # a search that re-entered shared subtrees would make about 3 * 2^n visits;
+    # the layer sweep expands each node at most once per set it keeps
+    def visits(tree, u, expect=None):
         s = Stats()
-        assert search(tree, (0,) * (2 * n - 1) + (2,), s) is False
-        assert s.node_visits <= 2 * tree.node_count, f"n={n}: {s.node_visits} visits"
+        verdict = search(tree, u, s)
+        if expect is not None:
+            assert verdict is expect, u
+        assert s.node_visits <= bound * tree.node_count, f"{u}: {s.node_visits} visits"
+        return s.node_visits
+
+    for n in range(8, 13):
+        fam = pair_family(n)
+        tree = build(fam)
+        assert visits(tree, (0,) * (2 * n - 1) + (2,), False) <= 2 * tree.node_count, f"n={n}"
+        v = fam.vectors[len(fam) // 3]
+        visits(tree, v)
+        visits(tree, tuple(0 if j % 3 else x for j, x in enumerate(v)), True)
+    rng = random.Random(23)
+    for _ in range(30):
+        k = rng.randint(1, 7)
+        a = rand_antichain(rng, k, rng.randint(1, 40), rng.randint(1, 6))
+        tree = build(a)
+        for _ in range(20):
+            visits(tree, tuple(rng.randint(0, 6) for _ in range(k)))
+        for v in a.vectors[:5]:
+            visits(tree, v)
+            u = tuple(x if rng.random() < 0.5 else 0 for x in v)
+            visits(tree, u, u != v or search is not strict_member_st)
 
 
 def test_node_count_bound_and_language_exactness():
@@ -181,6 +204,17 @@ def test_build_at_high_dimension():
     tree = build_sharingtree(a)  # no per-coordinate recursion
     assert tree.node_count == 3 * k + 1
     assert tree.edge_count == 3 * k
+    # nor in the searches, the iterator, the DOT dump or the set operations
+    cst_tree = build_cst(a)
+    v = a.vectors[0]
+    for u in (v, v[:-1] + (0,), (1,) * k, (3,) + v[1:]):
+        assert member_st(tree, u) is member_cst(cst_tree, u) is member_list(a, u), u
+        assert strict_member_st(tree, u) is strict_member_list(a, u), u
+    assert sorted(iter_vectors(tree)) == list(a.vectors)
+    assert to_dot(tree).count("label=") == tree.node_count
+    b = Antichain([(1,) * k])
+    assert ST.union(a, b) == union_list(a, b)
+    assert ST.intersect(a, b) == intersect_list(a, b)
 
 
 def test_build_is_deterministic():
