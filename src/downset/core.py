@@ -3,9 +3,9 @@
 A downward-closed set of natural vectors is represented by the antichain of
 its maximal elements.  This module provides the componentwise order, meets,
 the maximal-element reduction, and union and intersection written once over
-a backend's index (:class:`DownsetIndex`).  The list backend, whose index is
-the antichain itself, doubles as the correctness oracle for every other
-backend in the package.
+a backend's index (:class:`DownsetIndex`), which needs only ``build`` and
+``member``.  The list backend, whose index is the antichain itself, doubles
+as the correctness oracle for every other backend in the package.
 
 Vectors are plain tuples of non-negative ints.  Antichains are immutable
 values.  Every operation counts its work into the ``stats`` its caller
@@ -323,53 +323,10 @@ def member_list(ac: Antichain, u: Vector, stats: Optional[Stats] = None) -> bool
     return found
 
 
-def strict_member_list(ac: Antichain, u: Vector, stats: Optional[Stats] = None) -> bool:
-    """Does some member strictly dominate ``u``?  Linear scan.
-
-    Each member costs the scalar comparisons :func:`compare_counted` would
-    count, so the scan stops at the same components as that comparison.
-    """
-    u = tuple(u)
-    if len(u) != ac.dim:
-        raise DimensionMismatch(f"query has length {len(u)}, set has dimension {ac.dim}")
-    comps = 0
-    k = ac.dim
-    found = False
-    for v in ac.vectors:
-        i = 0
-        while i < k:
-            comps += 1
-            if u[i] != v[i]:
-                break
-            i += 1
-        else:
-            continue  # u == v is not strictly dominated
-        comps += 1  # direction check
-        if u[i] > v[i]:
-            # v is not above u; count the scan that tells greater from incomparable
-            for j in range(i + 1, k):
-                comps += 1
-                if u[j] < v[j]:
-                    break
-            continue
-        ok = True
-        for j in range(i + 1, k):
-            comps += 1
-            if u[j] > v[j]:
-                ok = False
-                break
-        if ok:
-            found = True
-            break
-    if stats is not None:
-        stats.comparisons += comps
-    return found
-
-
 class DownsetIndex(Protocol):
     """What a backend provides for :func:`union`, :func:`intersect` and
-    :func:`member`: an index ``build`` from an antichain, and ``member`` /
-    ``strict_member`` queries on it that count their work into ``stats``.
+    :func:`member`: an index ``build`` from an antichain, and ``member``
+    queries on it that count their work into ``stats``.
 
     The backend modules ``kdtree``, ``sharingtree`` and (for membership)
     ``cst`` are passed as the index themselves: the functions are looked up
@@ -381,8 +338,6 @@ class DownsetIndex(Protocol):
 
     def member(self, index, u: Vector, stats: Optional[Stats] = None) -> bool: ...
 
-    def strict_member(self, index, u: Vector, stats: Optional[Stats] = None) -> bool: ...
-
 
 class ListIndex:
     """The list backend's index: the antichain is its own index."""
@@ -392,7 +347,6 @@ class ListIndex:
         return ac
 
     member = staticmethod(member_list)
-    strict_member = staticmethod(strict_member_list)
 
 
 def member(index: DownsetIndex, ac: Antichain, u: Vector,
@@ -409,20 +363,24 @@ def union(index: DownsetIndex, a: Antichain, b: Antichain,
     """Union of downsets: members of either antichain not strictly dominated
     by a member of the other, shared vectors kept once.
 
-    Each operand's index is built once and queried once per member of the
-    other operand.
+    No member of an antichain dominates another, so a member of one operand
+    that is not in the other is strictly dominated exactly when it lies in
+    the other's downset.  Shared members are kept without a query; each
+    other member costs one ``member`` query on the other operand's index,
+    and each index is built once.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    strict_member = index.strict_member
+    member_of = index.member
     ia, ib = index.build(a), index.build(b)
-    kept = set()
+    in_a, in_b = set(a.vectors), set(b.vectors)
+    kept = []
     for u in a.vectors:
-        if not strict_member(ib, u, stats):
-            kept.add(u)
+        if u in in_b or not member_of(ib, u, stats):
+            kept.append(u)
     for v in b.vectors:
-        if not strict_member(ia, v, stats):
-            kept.add(v)
+        if v not in in_a and not member_of(ia, v, stats):
+            kept.append(v)
     return Antichain._from_maximal(a.dim, sorted(kept))
 
 

@@ -84,7 +84,7 @@ def build_cst(ac: Antichain) -> STree:
 
 def member_cst(tree: STree, u: Vector, stats: Optional[Stats] = None) -> bool:
     """Membership in the downward closure of the encoded language."""
-    return _search(tree, u, stats, False)
+    return _search(tree, u, stats)
 
 
 def _union_nodes(ns: STNode, nt: STNode, memo: dict, unions: dict) -> STNode:

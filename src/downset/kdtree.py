@@ -28,6 +28,8 @@ the query, in constant time per descent.  Left branches whose region cannot
 contain a dominator are pruned by comparing the split value against the
 query coordinate.  Leaves are compared in place with the counting of
 ``core.compare_counted``, so a query allocates nothing beyond its state.
+Membership is the tree's only query: ``core.union`` and ``core.intersect``
+need no other.
 """
 
 from __future__ import annotations
@@ -159,19 +161,18 @@ class _Search:
     """Per-query mutable state: region lower bounds, the pending-coordinate
     counter, and instrumentation."""
 
-    __slots__ = ("u", "k", "lb", "c", "strict_dims", "visits", "comps")
+    __slots__ = ("u", "k", "lb", "c", "visits", "comps")
 
     def __init__(self, u: Vector):
         self.u = u
         self.k = len(u)
         self.lb = [0] * self.k
         self.c = sum(1 for x in u if x > 0)
-        self.strict_dims = 0
         self.visits = 0
         self.comps = 0
 
 
-def _search(node, st: _Search, strict: bool) -> bool:
+def _search(node, st: _Search) -> bool:
     st.visits += 1
     u = st.u
     if type(node) is KdLeaf:
@@ -182,7 +183,7 @@ def _search(node, st: _Search, strict: bool) -> bool:
         k = st.k
         if u == v:
             st.comps += k
-            return not strict
+            return True
         if u < v:  # lexicographic: the first difference is an increase
             for j in range(k):
                 if u[j] > v[j]:
@@ -203,36 +204,31 @@ def _search(node, st: _Search, strict: bool) -> bool:
     old = lb[i]
     # descend right: the right region's bound on coordinate i rises to mu
     c = st.c
-    strict_dims = st.strict_dims
     if mu > old:
         st.comps += 3
         lb[i] = mu
         if old < ui <= mu:
             st.c = c - 1
-        if old <= ui < mu:
-            st.strict_dims = strict_dims + 1
     else:
         st.comps += 1
-    if st.c == 0 and (not strict or st.strict_dims > 0):
-        # every vector in the right region dominates u (strictly if needed)
+    if st.c == 0:
+        # every vector in the right region dominates u
         lb[i] = old
         st.c = c
-        st.strict_dims = strict_dims
         return True
     right = node._right
     if type(right) is list:  # first descent: split the pending child
         right = node._right = _split(right, node.depth + 1)
-    r_right = _search(right, st, strict)
+    r_right = _search(right, st)
     lb[i] = old
     st.c = c
-    st.strict_dims = strict_dims
     st.comps += 1
     if ui < mu or (ui == mu and node.left_allows_equal):
         # the left region can still contain a dominator of u
         left = node._left
         if type(left) is list:
             left = node._left = _split(left, node.depth + 1)
-        return _search(left, st, strict) or r_right
+        return _search(left, st) or r_right
     return r_right
 
 
@@ -246,33 +242,19 @@ def tree_dim(tree) -> Optional[int]:
     return len(node.vec) if type(node) is KdLeaf else len(node[0])
 
 
-def _run_query(tree, u: Vector, stats: Optional[Stats], strict: bool) -> bool:
+def member_kdtree(tree, u: Vector, stats: Optional[Stats] = None) -> bool:
+    """True iff some leaf vector dominates ``u``."""
     if isinstance(tree, EmptyTree):
         return False
     u = tuple(u)
     if len(u) != tree_dim(tree):
         raise DimensionMismatch("query length does not match tree dimension")
     st = _Search(u)
-    result = _search(tree, st, strict)
+    result = _search(tree, st)
     if stats is not None:
         stats.merge(comparisons=st.comps, node_visits=st.visits)
     return result
 
 
-def member_kdtree(tree, u: Vector, stats: Optional[Stats] = None) -> bool:
-    """True iff some leaf vector dominates ``u``."""
-    return _run_query(tree, u, stats, strict=False)
-
-
-def strict_member_kdtree(tree, u: Vector, stats: Optional[Stats] = None) -> bool:
-    """True iff some leaf vector strictly dominates ``u``.
-
-    Same pruning as the plain search; region inclusion additionally requires
-    one coordinate where the bound strictly exceeds the query, and leaves are
-    tested strictly.
-    """
-    return _run_query(tree, u, stats, strict=True)
-
-
 # The downset index protocol (core.DownsetIndex) of this backend.
-build, member, strict_member = build_kdtree, member_kdtree, strict_member_kdtree
+build, member = build_kdtree, member_kdtree

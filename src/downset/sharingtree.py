@@ -8,14 +8,13 @@ every subtree a canonical identity (layer, value, successor identities) and
 caching on it, so equivalent subtrees are created once.
 
 Successors are kept in strictly decreasing value order.  A membership
-query sweeps the DAG one layer per query component, keeping the nodes
-reached by a path that dominates the query's prefix; a successor list is
-read only down to the first value below the component.  Strict membership
-splits those nodes in two: reached by a path that already exceeds the
-query somewhere, and reached by a path equal to it so far.  Each node
-enters each set at most once, so a query costs O(nodes + edges).  Nothing
+query sweeps the DAG one layer per query component, keeping the set of
+nodes reached by a path that dominates the query's prefix; a successor list
+is read only down to the first value below the component.  Each node
+enters the set at most once, so a query costs O(nodes + edges).  Nothing
 recurses, and a query writes nothing into the nodes: a built tree is never
-changed, so any number of readers may search it at once.
+changed, so any number of readers may search it at once.  Membership is
+the only query: ``core.union`` and ``core.intersect`` need no other.
 
 The covering sharing tree (``cst``) is the same layered DAG: it shares this
 module's node, build, search, iterator and DOT dump, and adds only its
@@ -97,48 +96,34 @@ def _build(ac: Antichain) -> STree:
     return STree(root, dim, len(nodes) + 1, edge_count)
 
 
-def _search(tree: STree, u: Vector, stats: Optional[Stats], strict: bool) -> bool:
-    """Sweep the DAG one layer per component of ``u`` for a path dominating
-    it (and, if ``strict``, exceeding it in some component).
+def _search(tree: STree, u: Vector, stats: Optional[Stats]) -> bool:
+    """Sweep the DAG one layer per component of ``u`` for a path dominating it.
 
-    ``above`` holds the nodes reached by a path that already exceeds ``u``
-    somewhere (for plain membership, every node reached); ``level`` holds
-    those reached by a path equal to ``u`` so far.  A node enters each at
-    most once per search, and each successor list is read only down to the
-    first value below the query component.
+    ``reached`` holds the nodes of the current layer reached by a path that
+    dominates ``u`` so far; a node enters it at most once per search, and
+    each successor list is read only down to the first value below the
+    query component.
     """
     u = tuple(u)
     if len(u) != tree.dim:
         raise DimensionMismatch(f"query has length {len(u)}, tree has dimension {tree.dim}")
-    above: dict = {}
-    level: dict = {}
-    (level if strict else above)[tree.root] = None
+    reached: dict = {tree.root: None}
     visits = comps = 0
     for x in u:
-        if not (above or level):
+        if not reached:
             break
-        visits += len(above) + len(level)
-        next_above: dict = {}
-        next_level: dict = {}
-        for node in above:
+        visits += len(reached)
+        following: dict = {}
+        for node in reached:
             for s in node.succs:
                 comps += 1
                 if s.value < x:
                     break  # successors only get smaller
-                next_above[s] = None
-        for node in level:
-            for s in node.succs:
-                comps += 2
-                if s.value < x:
-                    break
-                if s.value > x:
-                    next_above[s] = None
-                else:
-                    next_level[s] = None
-        above, level = next_above, next_level
+                following[s] = None
+        reached = following
     if stats is not None:
         stats.merge(comparisons=comps, node_visits=visits)
-    return bool(above)
+    return bool(reached)
 
 
 def build_sharingtree(ac: Antichain) -> STree:
@@ -148,12 +133,7 @@ def build_sharingtree(ac: Antichain) -> STree:
 
 def member_st(tree: STree, u: Vector, stats: Optional[Stats] = None) -> bool:
     """Is there a root-to-leaf path dominating ``u``?"""
-    return _search(tree, u, stats, False)
-
-
-def strict_member_st(tree: STree, u: Vector, stats: Optional[Stats] = None) -> bool:
-    """Is there a path dominating ``u`` and exceeding it in some component?"""
-    return _search(tree, u, stats, True)
+    return _search(tree, u, stats)
 
 
 def iter_vectors(tree: STree) -> Iterator[Vector]:
@@ -188,4 +168,4 @@ def to_dot(tree: STree) -> str:
 
 
 # The downset index protocol (core.DownsetIndex) of this backend.
-build, member, strict_member = build_sharingtree, member_st, strict_member_st
+build, member = build_sharingtree, member_st

@@ -23,8 +23,7 @@ from downset import (
     parse_vector_set,
     union_list,
 )
-from downset import core
-from downset.core import strict_member_list
+from downset import core, get_backend, kdtree, sharingtree
 from util import box_points, brute_downset, brute_member, compare, rand_antichain
 
 LESS = ComparisonOutcome.LESS
@@ -41,6 +40,19 @@ def small_antichains(rng, count, k_hi=5, m_hi=12, w_hi=6):
         k = rng.randint(1, k_hi)
         yield (rand_antichain(rng, k, rng.randint(1, m_hi), rng.randint(1, w_hi)),
                rand_antichain(rng, k, rng.randint(1, m_hi), rng.randint(1, w_hi)))
+
+
+def shared_pairs(rng, count, k_hi=4, m_hi=8, w_hi=5):
+    """Operand pairs that share members: equal, one a subset of the other,
+    about half shared (the rest random, so some are dominated), disjoint."""
+    for _ in range(count):
+        k = rng.randint(1, k_hi)
+        a = rand_antichain(rng, k, rng.randint(1, m_hi), rng.randint(1, w_hi))
+        half = a.vectors[::2] + rand_antichain(rng, k, rng.randint(1, m_hi), w_hi).vectors
+        yield a, a
+        yield a, Antichain(a.vectors[: (len(a) + 1) // 2], dim=k)
+        yield a, Antichain(half, dim=k)
+        yield a, Antichain([tuple(x + 1 for x in v) for v in a.vectors], dim=k)
 
 
 def test_compare_examples():
@@ -120,35 +132,6 @@ def test_member_list_comparison_budget():
         s = Stats()
         member_list(a, u, s)
         assert s.comparisons <= (k + 1) * len(a)
-
-
-def test_strict_member_list_checks_query_dimension_on_entry():
-    for ac in (Antichain((), dim=2), Antichain([(1, 2)])):
-        with pytest.raises(DimensionMismatch):
-            strict_member_list(ac, (1, 2, 3))
-
-
-def _reference_strict_member(ac, u, stats):
-    for v in ac.vectors:
-        if compare_counted(u, v, stats) is LESS:
-            return True
-    return False
-
-
-def test_strict_member_list_matches_compare_counted():
-    # same verdicts and counts as a scan that calls compare_counted per member
-    rng = random.Random(9)
-    for _ in range(300):
-        k = rng.randint(1, 6)
-        a = rand_antichain(rng, k, rng.randint(1, 12), 5)
-        queries = [tuple(rng.randint(0, 6) for _ in range(k)) for _ in range(6)]
-        queries += list(a.vectors[:2])  # equal to a member: never strictly dominated
-        for u in queries:
-            for q in (u, list(u)):
-                got, ref = Stats(), Stats()
-                assert strict_member_list(a, q, got) == _reference_strict_member(a, u, ref)
-                assert got.comparisons == ref.comparisons
-        assert strict_member_list(a, a.vectors[0]) is False
 
 
 def _collection(rng, k, m):
@@ -249,15 +232,56 @@ def test_intersect_examples():
 
 def test_set_ops_match_pointwise_semantics():
     rng = random.Random(11)
-    for a, b in small_antichains(rng, 60, k_hi=4, m_hi=8, w_hi=5):
+    pairs = list(small_antichains(rng, 60, k_hi=4, m_hi=8, w_hi=5))
+    pairs += shared_pairs(rng, 15)
+    unions = [get_backend(name).union for name in ("list", "kdtree", "sharingtree", "adaptive")]
+    for a, b in pairs:
         top = max(a.max_norm(), b.max_norm()) + 1
         da = brute_downset(a.vectors, top) if a.vectors else set()
         db = brute_downset(b.vectors, top) if b.vectors else set()
-        u = union_list(a, b)
         i = intersect_list(a, b)
+        for union in unions:
+            u = union(a, b)
+            # the union relies on, and must keep, pairwise incomparable members
+            for x in u.vectors:
+                for y in u.vectors:
+                    assert x == y or compare(x, y) is INCOMPARABLE, (x, y)
+            for p in box_points(a.dim, top):
+                assert member_list(u, p) == (p in da or p in db)
         for p in box_points(a.dim, top):
-            assert member_list(u, p) == (p in da or p in db)
             assert member_list(i, p) == (p in da and p in db)
+
+
+class _CountingIndex:
+    """An index that offers only ``build`` and ``member``, and counts calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.builds = self.members = 0
+
+    def build(self, ac):
+        self.builds += 1
+        return self.inner.build(ac)
+
+    def member(self, index, u, stats=None):
+        self.members += 1
+        return self.inner.member(index, u, stats)
+
+
+@pytest.mark.parametrize("inner", [core.ListIndex, kdtree, sharingtree],
+                         ids=["list", "kdtree", "sharingtree"])
+def test_union_queries_only_unshared_members(inner):
+    rng = random.Random(31)
+    shared = 0
+    for a, b in shared_pairs(rng, 25, k_hi=5, m_hi=12, w_hi=6):
+        index = _CountingIndex(inner)
+        got = core.union(index, a, b, Stats())
+        sa, sb = set(a.vectors), set(b.vectors)
+        assert index.members == len(sa - sb) + len(sb - sa)
+        assert index.builds == 2
+        assert got == union_list(a, b)
+        shared += len(sa & sb)
+    assert shared > 0
 
 
 def test_set_ops_algebra():
@@ -304,7 +328,7 @@ def test_list_setop_comparison_counts_are_pinned():
     rng = random.Random(2025)
     a = rand_antichain(rng, 5, 30, 9)
     b = rand_antichain(rng, 5, 30, 9)
-    for op, expected in ((union_list, 5754), (intersect_list, 6786)):
+    for op, expected in ((union_list, 3903), (intersect_list, 6786)):
         s = Stats()
         op(a, b, s)
         assert s.comparisons == expected, op.__name__

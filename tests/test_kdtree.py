@@ -16,7 +16,6 @@ from downset.kdtree import (
     KdSplit,
     build_kdtree,
     member_kdtree,
-    strict_member_kdtree,
     tree_dim,
     tree_height,
 )
@@ -56,7 +55,6 @@ def test_build_singleton_and_empty():
     assert isinstance(tree, KdLeaf) and tree.vec == (5,)
     assert build_kdtree(Antichain((), dim=3)) is EMPTY_TREE
     assert member_kdtree(EMPTY_TREE, (0, 0)) is False
-    assert strict_member_kdtree(EMPTY_TREE, (0, 0)) is False
 
 
 def test_leaves_reproduce_input_and_balance():
@@ -161,13 +159,12 @@ def test_first_query_splits_only_the_nodes_it_visits():
         a = rand_antichain(rng, k, rng.randint(1, 64), 9)
         for _ in range(5):
             u = tuple(rng.randint(0, 9) for _ in range(k))
-            for query in (member_kdtree, strict_member_kdtree):
-                tree = build_kdtree(a)
-                assert _split_nodes(tree) == 1
-                s = Stats()
-                query(tree, u, s)
-                assert _split_nodes(tree) == s.node_visits
-                partial += s.node_visits < 2 * len(a) - 1
+            tree = build_kdtree(a)
+            assert _split_nodes(tree) == 1
+            s = Stats()
+            member_kdtree(tree, u, s)
+            assert _split_nodes(tree) == s.node_visits
+            partial += s.node_visits < 2 * len(a) - 1
     assert partial > 0
 
 
@@ -176,8 +173,6 @@ def test_dimension_reads_split_nothing():
     assert tree_dim(tree) == 3
     with pytest.raises(DimensionMismatch):
         member_kdtree(tree, (1, 1))
-    with pytest.raises(DimensionMismatch):
-        strict_member_kdtree(tree, (1, 1, 1, 1))
     assert _split_nodes(tree) == 1
 
 
@@ -234,10 +229,15 @@ def test_member_examples():
         member_kdtree(tree, (1, 1, 1))
 
 
-def test_strict_member_examples():
-    assert strict_member_kdtree(build_kdtree(Antichain([(1, 1)])), (1, 1)) is False
-    assert strict_member_kdtree(build_kdtree(Antichain([(2, 1)])), (1, 1)) is True
-    assert strict_member_kdtree(build_kdtree(Antichain([(2, 0), (0, 2)])), (0, 1)) is True
+def test_strict_member_handles_duplicate_leaves():
+    # trees over meet multisets contain equal vectors; a query equal to them
+    # is a member, and union keeps a member shared by both operands, since
+    # equal copies do not strictly dominate each other
+    tree = build_kdtree([(1, 1), (1, 1)])
+    assert member_kdtree(tree, (1, 1)) is True
+    a = Antichain([(1, 1), (2, 0)])
+    b = Antichain([(1, 1), (0, 2)])
+    assert KD.union(a, b) == union_list(a, b) == Antichain([(1, 1), (2, 0), (0, 2)])
 
 
 def test_member_matches_list_oracle_randomized():
@@ -249,8 +249,6 @@ def test_member_matches_list_oracle_randomized():
         for _ in range(30):
             u = tuple(rng.randint(0, 9) for _ in range(k))
             assert member_kdtree(tree, u) == member_list(a, u)
-            strict = any(all(x <= y for x, y in zip(u, v)) and u != v for v in a.vectors)
-            assert strict_member_kdtree(tree, u) == strict
 
 
 def test_leaf_test_counts_like_compare_counted():
@@ -267,17 +265,6 @@ def test_leaf_test_counts_like_compare_counted():
         s = Stats()
         assert member_kdtree(tree, u, s) is (outcome is LESS or outcome is EQUAL)
         assert (s.comparisons, s.node_visits) == (ref.comparisons, 1)
-        s = Stats()
-        assert strict_member_kdtree(tree, u, s) is (outcome is LESS)
-        assert s.comparisons == ref.comparisons
-
-
-def test_strict_member_handles_duplicate_leaves():
-    # trees over meet multisets contain equal vectors; equal copies must not
-    # strictly dominate each other
-    tree = build_kdtree([(1, 1), (1, 1)])
-    assert strict_member_kdtree(tree, (1, 1)) is False
-    assert member_kdtree(tree, (1, 1)) is True
 
 
 def test_union_intersect_match_list_backend():
@@ -336,8 +323,8 @@ def test_kdtree_counts_are_pinned():
     expected = {
         ("membership", "comparisons"): (1010, 8466),
         ("membership", "node_visits"): (232, 2097),
-        ("union", "comparisons"): (991, 8110),
-        ("union", "node_visits"): (229, 2017),
+        ("union", "comparisons"): (450, 3881),
+        ("union", "node_visits"): (106, 971),
         ("intersection", "comparisons"): (1499, 47864),
         ("intersection", "node_visits"): (229, 2017),
     }

@@ -8,10 +8,8 @@ from downset.sharingtree import (
     build_sharingtree,
     iter_vectors,
     member_st,
-    strict_member_st,
     to_dot,
 )
-from downset.core import strict_member_list
 from downset.cst import build_cst, member_cst
 from util import pair_family, rand_antichain
 
@@ -72,7 +70,6 @@ def test_build_empty_is_flagged():
     tree = build_sharingtree(Antichain((), dim=2))
     assert tree.empty
     assert member_st(tree, (0, 0)) is False
-    assert strict_member_st(tree, (0, 0)) is False
 
 
 def test_pair_family_node_counts():
@@ -84,20 +81,19 @@ def test_pair_family_node_counts():
         check_structure(tree)
 
 
-@pytest.mark.parametrize("build, search, bound", [
-    (build_sharingtree, member_st, 1),
-    (build_sharingtree, strict_member_st, 2),
-    (build_cst, member_cst, 1),
-], ids=["member_st", "strict_member_st", "member_cst"])
-def test_failure_memo_bounds_visits_on_pair_family(build, search, bound):
+@pytest.mark.parametrize("build, search", [
+    (build_sharingtree, member_st),
+    (build_cst, member_cst),
+], ids=["member_st", "member_cst"])
+def test_failure_memo_bounds_visits_on_pair_family(build, search):
     # a search that re-entered shared subtrees would make about 3 * 2^n visits;
-    # the layer sweep expands each node at most once per set it keeps
+    # the layer sweep expands each node at most once
     def visits(tree, u, expect=None):
         s = Stats()
         verdict = search(tree, u, s)
         if expect is not None:
             assert verdict is expect, u
-        assert s.node_visits <= bound * tree.node_count, f"{u}: {s.node_visits} visits"
+        assert s.node_visits <= tree.node_count, f"{u}: {s.node_visits} visits"
         return s.node_visits
 
     for n in range(8, 13):
@@ -117,7 +113,7 @@ def test_failure_memo_bounds_visits_on_pair_family(build, search, bound):
         for v in a.vectors[:5]:
             visits(tree, v)
             u = tuple(x if rng.random() < 0.5 else 0 for x in v)
-            visits(tree, u, u != v or search is not strict_member_st)
+            visits(tree, u, True)
 
 
 def test_node_count_bound_and_language_exactness():
@@ -147,13 +143,6 @@ def test_member_early_exit_at_first_layer():
     assert s.node_visits == 1  # largest first-layer value 2 < 3
 
 
-def test_strict_member_examples():
-    assert strict_member_st(build_sharingtree(Antichain([(1, 1)])), (1, 1)) is False
-    assert strict_member_st(build_sharingtree(Antichain([(2, 1)])), (1, 1)) is True
-    tree = build_sharingtree(Antichain([(2, 0), (0, 2)]))
-    assert strict_member_st(tree, (0, 1)) is True
-
-
 def test_member_matches_list_oracle_randomized():
     rng = random.Random(19)
     for _ in range(120):
@@ -163,8 +152,6 @@ def test_member_matches_list_oracle_randomized():
         for _ in range(30):
             u = tuple(rng.randint(0, 9) for _ in range(k))
             assert member_st(tree, u) == member_list(a, u)
-            strict = any(all(x <= y for x, y in zip(u, v)) and u != v for v in a.vectors)
-            assert strict_member_st(tree, u) == strict
 
 
 def test_compressed_tree_queries_translate_raw_values():
@@ -209,7 +196,6 @@ def test_build_at_high_dimension():
     v = a.vectors[0]
     for u in (v, v[:-1] + (0,), (1,) * k, (3,) + v[1:]):
         assert member_st(tree, u) is member_cst(cst_tree, u) is member_list(a, u), u
-        assert strict_member_st(tree, u) is strict_member_list(a, u), u
     assert sorted(iter_vectors(tree)) == list(a.vectors)
     assert to_dot(tree).count("label=") == tree.node_count
     b = Antichain([(1,) * k])
