@@ -10,7 +10,6 @@ from .core import (
     format_vector_set,
     intersect_list,
     load_vector_set,
-    maxac,
     meet,
     member_list,
     parse_vector_set,
@@ -33,7 +32,6 @@ __all__ = [
     "get_backend",
     "intersect_list",
     "load_vector_set",
-    "maxac",
     "meet",
     "member_list",
     "parse_vector_set",

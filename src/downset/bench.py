@@ -3,9 +3,9 @@
 For membership, a random antichain of size t is queried with 2t vectors,
 half inside the downset and half outside.  For union and intersection, a
 second antichain overlapping the first on half its elements is built and
-the operation is run.  Counter metrics (scalar comparisons, node visits)
-are bit-reproducible under a fixed seed; wall time is available but
-explicitly non-deterministic.
+the operation is run.  Counter metrics (comparisons and node visits, as
+``core.Stats`` defines them) are bit-reproducible under a fixed seed; wall
+time is available but explicitly non-deterministic.
 
 RNG streams are split per size from the root seed, so every backend sees
 the same instances and rows can be computed in any order.

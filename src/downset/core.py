@@ -9,19 +9,19 @@ as the correctness oracle for every other backend in the package.
 
 Vectors are plain tuples of non-negative ints.  Antichains are immutable
 values.  Every operation counts its work into the ``stats`` its caller
-passes, and ``stats=None`` means nothing is counted.
+passes, and ``stats=None`` means nothing is counted.  Counting never
+changes which algorithm runs.
 
-The maximal-element reduction has two kernels.  A reduction that counts
-its comparisons (the meets of a counted :func:`intersect`,
-``maxac(..., stats)``) runs the pairwise scan, whose scalar comparisons
-define the counters.  An uncounted one (``Antichain(...)``, ``maxac`` or
-:func:`intersect` without ``stats``, so also parsing and
-``cst.maximal_elements``) of at least ``_BITSET_MIN`` = 32 distinct vectors
-runs a word-parallel bitset kernel (after Tan, Eng & Ooi, VLDB 2001): one
-sort and one pass per coordinate, O(k·m) big-int operations for
-m ≤ ``_BITSET_BLOCK`` = 1024 vectors, and blocks of that many candidates
-beyond, so its masks take about 1024·m bits.  Below 32 vectors, as in the
-parity solver's images of 1 to 7 vectors, the pairwise scan is faster.
+The maximal-element reduction picks its kernel by the number of distinct
+vectors alone.  Below ``_BITSET_MIN`` = 32, as in the parity solver's
+images of 1 to 7 vectors, it runs the pairwise scan, which counts its
+scalar comparisons.  From 32 on (large meet sets of :func:`intersect`,
+parsing, ``cst.maximal_elements``) it runs a word-parallel bitset kernel
+(after Tan, Eng & Ooi, VLDB 2001): one sort and one pass per coordinate,
+O(k·m) big-int operations for m ≤ ``_BITSET_BLOCK`` = 1024 vectors, and
+blocks of that many candidates beyond, so its masks take about 1024·m
+bits.  It counts the column entries its walks visit, ``k·hi`` for a block
+ending at position ``hi``.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
 Vector = tuple  # tuple[int, ...]
 
-# Uncounted reductions of at least this many distinct vectors use the bitset
-# kernel, which reduces them in blocks of _BITSET_BLOCK candidates.
+# Reductions of at least this many distinct vectors use the bitset kernel,
+# which reduces them in blocks of _BITSET_BLOCK candidates.
 _BITSET_MIN = 32
 _BITSET_BLOCK = 1024
 
@@ -61,7 +61,9 @@ INCOMPARABLE = ComparisonOutcome.INCOMPARABLE
 class Stats:
     """Mutable operation counters shared by all backends.
 
-    ``comparisons`` counts scalar comparisons between vector components;
+    ``comparisons`` counts scalar comparisons between vector components,
+    and for a bitset reduction the column entries its walks visit,
+    ``k·hi`` per block ``[lo, hi)`` (see :func:`_max_of`);
     ``node_visits`` counts tree nodes touched during queries.
     """
 
@@ -133,17 +135,29 @@ def meet(u: Vector, v: Vector) -> Vector:
 def _max_of(vectors: Iterable[Vector], stats: Optional[Stats] = None) -> list:
     """Maximal elements of a vector collection, sorted ascending.
 
-    Deduplicates and sorts descending lexicographically.  An uncounted
-    reduction of at least ``_BITSET_MIN`` distinct vectors then runs
-    :func:`_max_of_bitset`.  Otherwise a vector is kept unless one of the
-    already-kept vectors dominates it.  A dominator is always
-    lexicographically larger, so it was processed earlier; dominated
-    dominators are themselves covered by a kept vector by transitivity.
-    This pairwise scan defines the ``comparisons`` it counts into ``stats``.
+    Deduplicates and sorts descending lexicographically, then reduces with
+    :func:`_max_of_bitset` if there are at least ``_BITSET_MIN`` distinct
+    vectors, else with :func:`_max_of_pairwise`; ``stats`` only counts.
+    The pairwise scan counts its scalar comparisons.  The bitset kernel
+    counts ``k·hi`` for each block ``[lo, hi)`` of candidates: the column
+    entries its ``k`` coordinate walks visit, each walk covering the
+    ``hi`` vectors up to the block's end.
     """
     uniq = sorted(set(vectors), reverse=True)
-    if stats is None and len(uniq) >= _BITSET_MIN:
-        return _max_of_bitset(uniq)
+    if len(uniq) >= _BITSET_MIN:
+        return _max_of_bitset(uniq, stats)
+    return _max_of_pairwise(uniq, stats)
+
+
+def _max_of_pairwise(uniq: list, stats: Optional[Stats] = None) -> list:
+    """Maximal elements of distinct vectors sorted descending
+    lexicographically, returned sorted ascending.
+
+    A vector is kept unless one of the already-kept vectors dominates it.
+    A dominator is always lexicographically larger, so it was processed
+    earlier; dominated dominators are themselves covered by a kept vector
+    by transitivity.  The scalar comparisons are counted into ``stats``.
+    """
     kept: list = []
     comps = 0
     for v in uniq:
@@ -168,7 +182,7 @@ def _max_of(vectors: Iterable[Vector], stats: Optional[Stats] = None) -> list:
     return kept
 
 
-def _max_of_bitset(uniq: list) -> list:
+def _max_of_bitset(uniq: list, stats: Optional[Stats] = None) -> list:
     """Maximal elements of distinct vectors sorted descending
     lexicographically, returned sorted ascending.
 
@@ -203,6 +217,8 @@ def _max_of_bitset(uniq: list) -> list:
         for mask in above:
             dominated |= full ^ mask
         kept.extend(uniq[j] for j in range(lo, hi) if not dominated >> (j - lo) & 1)
+        if stats is not None:
+            stats.comparisons += len(cols) * hi
     kept.reverse()
     return kept
 
@@ -267,11 +283,11 @@ class Antichain:
         return max((max(v) for v in self.vectors), default=0)
 
 
-def maxac(vectors: Iterable[Vector], dim: Optional[int] = None, stats: Optional[Stats] = None) -> Antichain:
-    """Antichain of maximal elements of an arbitrary finite vector collection.
+def maxac(vectors: Iterable[Vector], dim: Optional[int] = None) -> Antichain:
+    """Antichain of maximal elements of a finite collection of natural vectors.
 
-    Checks vector lengths, not components.  Given ``stats``, the reduction
-    is the pairwise scan and counts its comparisons there.
+    Checks vector lengths, not components: callers pass vectors they built
+    or validated, and ``Antichain(...)`` is the constructor that validates.
     """
     vecs = [tuple(v) for v in vectors]
     if dim is None and not vecs:
@@ -281,7 +297,7 @@ def maxac(vectors: Iterable[Vector], dim: Optional[int] = None, stats: Optional[
     for v in vecs:
         if len(v) != dim:
             raise DimensionMismatch(f"expected dimension {dim}, got vector of length {len(v)}")
-    return Antichain._from_maximal(dim, _max_of(vecs, stats))
+    return Antichain._from_maximal(dim, _max_of(vecs))
 
 
 def member_list(ac: Antichain, u: Vector, stats: Optional[Stats] = None) -> bool:

@@ -5,6 +5,7 @@ import pytest
 
 from downset import (Antichain, format_vector_set, intersect_list, load_vector_set, parse_vector_set,
                      union_list)
+from downset import core
 from downset.cli import main
 
 A_TEXT = "dim 2\n0 2\n2 0\n"
@@ -74,6 +75,33 @@ def test_intersect_to_stdout_all_backends(capsys, set_files):
         code, out, _ = run_main(capsys, ["intersect", a, b, "--backend", backend])
         assert code == 0
         assert parse_vector_set(out).vectors == ((0, 1), (1, 0))
+
+
+def test_intersect_stats_flag_leaves_output_and_kernel_unchanged(capsys, tmp_path, monkeypatch):
+    # k=6; no member of one set lies in the other downset, and the 100 meets
+    # are distinct and pairwise incomparable, so they go to the bitset kernel
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text(format_vector_set(Antichain([(i, 9 - i, 9, 9, 5, 5) for i in range(10)])))
+    b.write_text(format_vector_set(Antichain([(9, 9, j, 9 - j, 5, 5) for j in range(10)])))
+    calls = []
+    kernel = core._max_of_bitset
+
+    def spy(uniq, stats=None):
+        calls.append(len(uniq))
+        return kernel(uniq, stats)
+
+    monkeypatch.setattr(core, "_max_of_bitset", spy)
+    code, plain, err = run_main(capsys, ["intersect", a, b])
+    assert code == 0 and err == ""
+    assert calls == [100]
+    code, counted, err = run_main(capsys, ["intersect", a, b, "--stats"])
+    assert code == 0
+    assert calls == [100, 100]
+    assert counted == plain
+    assert len(parse_vector_set(plain)) == 100
+    comparisons = int(err.split("comparisons=")[1].split()[0])
+    assert comparisons > 0
 
 
 def test_setop_check_mode_agrees(capsys, set_files, tmp_path):

@@ -17,13 +17,14 @@ from downset import (
     compare_counted,
     format_vector_set,
     intersect_list,
-    maxac,
     meet,
     member_list,
     parse_vector_set,
     union_list,
 )
+import downset
 from downset import core, get_backend, kdtree, sharingtree
+from downset.core import maxac
 from util import box_points, brute_downset, brute_member, compare, rand_antichain
 
 LESS = ComparisonOutcome.LESS
@@ -155,12 +156,13 @@ def _collection(rng, k, m):
 
 
 def _check_kernels_agree(vs):
-    counted = core._max_of(vs, Stats())
-    assert core._max_of(vs) == counted
-    assert core._max_of_bitset(sorted(set(vs), reverse=True)) == counted
+    uniq = sorted(set(vs), reverse=True)
+    reference = core._max_of_pairwise(uniq)
+    assert core._max_of(vs) == reference
+    assert core._max_of_bitset(uniq) == reference
 
 
-def test_bitset_reduction_matches_counted_scan(monkeypatch):
+def test_bitset_reduction_matches_pairwise_scan(monkeypatch):
     rng = random.Random(17)
     n, block = core._BITSET_MIN, core._BITSET_BLOCK
     for k in range(1, 9):
@@ -176,6 +178,22 @@ def test_bitset_reduction_matches_counted_scan(monkeypatch):
     for k in (1, 2, 4, 8, 2000):
         for m in (4, 5, 6, 11, 40):
             _check_kernels_agree(_collection(rng, k, m))
+
+
+def test_bitset_kernel_counts_column_entries_per_block(monkeypatch):
+    # k walks of the hi vectors up to each block's end: k*hi per block [lo, hi)
+    rng = random.Random(23)
+    k, m = 3, 40
+    uniq = sorted(set(_collection(rng, k, m)), reverse=True)
+    assert len(uniq) == m
+    s = Stats()
+    core._max_of_bitset(uniq, s)
+    assert s.comparisons == k * m
+    monkeypatch.setattr(core, "_BITSET_BLOCK", 32)  # blocks [0, 32) and [32, 40)
+    s = Stats()
+    core._max_of_bitset(uniq, s)
+    assert s.comparisons == k * 32 + k * 40
+    assert s.node_visits == 0
 
 
 _LAYER_SCRIPT = """
@@ -320,6 +338,11 @@ def test_antichain_construction_canonicalizes():
         Antichain([(1, 2), (1, 2, 3)])
     with pytest.raises(ValueError):
         Antichain([(True, 2)])
+    with pytest.raises(ValueError):
+        Antichain([(0.5, 2)])
+    # the unvalidated reduction is not exported; Antichain(...) is the constructor
+    assert not hasattr(downset, "maxac")
+    assert "maxac" not in downset.__all__
 
 
 def test_list_setop_comparison_counts_are_pinned():
@@ -328,7 +351,7 @@ def test_list_setop_comparison_counts_are_pinned():
     rng = random.Random(2025)
     a = rand_antichain(rng, 5, 30, 9)
     b = rand_antichain(rng, 5, 30, 9)
-    for op, expected in ((union_list, 3903), (intersect_list, 6786)):
+    for op, expected in ((union_list, 3903), (intersect_list, 4193)):
         s = Stats()
         op(a, b, s)
         assert s.comparisons == expected, op.__name__
@@ -373,7 +396,7 @@ def test_uncounted_operations_leave_antichains_without_counters():
     assert s.comparisons > 0
 
 
-def test_uncounted_intersection_reduces_meets_with_the_bitset_kernel(monkeypatch):
+def test_counted_and_uncounted_intersection_run_the_same_kernel(monkeypatch):
     # no member of one operand lies in the other downset, and the 100 meets
     # (i, 9-i, j, 9-j) are distinct and pairwise incomparable
     a = Antichain([(i, 9 - i, 9, 9) for i in range(10)])
@@ -381,14 +404,16 @@ def test_uncounted_intersection_reduces_meets_with_the_bitset_kernel(monkeypatch
     calls = []
     kernel = core._max_of_bitset
 
-    def spy(uniq):
+    def spy(uniq, stats=None):
         calls.append(len(uniq))
-        return kernel(uniq)
+        return kernel(uniq, stats)
 
     monkeypatch.setattr(core, "_max_of_bitset", spy)
-    counted = intersect_list(a, b, Stats())
-    assert calls == []
-    uncounted = intersect_list(a, b)
+    s = Stats()
+    counted = intersect_list(a, b, s)
     assert calls == [100]
+    uncounted = intersect_list(a, b)
+    assert calls == [100, 100]
     assert uncounted == counted
     assert len(uncounted) == 100
+    assert s.comparisons > 0

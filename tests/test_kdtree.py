@@ -325,7 +325,7 @@ def test_kdtree_counts_are_pinned():
         ("membership", "node_visits"): (232, 2097),
         ("union", "comparisons"): (450, 3881),
         ("union", "node_visits"): (106, 971),
-        ("intersection", "comparisons"): (1499, 47864),
+        ("intersection", "comparisons"): (1499, 10186),
         ("intersection", "node_visits"): (229, 2017),
     }
     for (op, metric), values in expected.items():
