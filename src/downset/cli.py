@@ -116,6 +116,8 @@ def cmd_solve_parity(args) -> int:
         with open(args.strategy, "w", encoding="utf-8", newline="\n") as fh:
             for u in sorted(strategy):
                 fh.write(f"{game.ids[u]} {game.ids[strategy[u]]}\n")
+    if args.stats:
+        print(f"refinements={result.iterations} images={result.images}", file=sys.stderr)
     if args.check:
         oracle = parity_mod.zielonka(game)
         if oracle != result.winners:
@@ -213,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     _add_backend_flag(p)
     p.add_argument("--strategy", metavar="PATH", help="write the even strategy here")
+    p.add_argument("--stats", action="store_true")
     p.add_argument("--check", action="store_true",
                    help="cross-check winners against the attractor oracle")
 

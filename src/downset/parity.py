@@ -15,6 +15,15 @@ smaller odd debts).  Iterating the controllable-predecessor refinement from
 the all-caps downset converges to its greatest fixpoint; a vertex is
 even-winning iff its final downset contains a fully non-negative counter.
 
+The refinement only ever shrinks a vertex's downset.  The backward update
+is monotone and stays inside the box below the all-caps counter, and union
+and intersection are monotone, so every refined downset lies inside the
+one it replaces, whatever the order of the refinements (Kleene iteration
+from the top of a complete lattice).  The solver therefore takes the
+combined successor image as the new downset without intersecting it with
+the old one, and it keeps each backward image of a vertex's downset until
+that downset shrinks.
+
 The module also carries a pgsolver-format parser, co-lexicographic strategy
 extraction for the even player, and an independent Zielonka-style oracle
 used by tests and the CLI's --check mode.
@@ -199,10 +208,17 @@ def bwd_counter(stored: Tuple[int, ...], priority: int, caps: Sequence[int]) -> 
 
 def down_bwd(ac: Antichain, priority: int, space: CounterSpace) -> Antichain:
     """Closure of the backward image of a counter downset: apply the update
-    to the maximal elements and re-reduce (the update is monotone)."""
-    if not ac.vectors:
+    to the maximal elements and re-reduce (the update is monotone).
+
+    Priority 0 is the identity, so ``ac`` itself is returned; the image of
+    one vector is one vector, so only images of two or more are reduced.
+    """
+    vectors = ac.vectors
+    if priority == 0 or not vectors:
         return ac
-    return maxac([bwd_counter(c, priority, space.caps) for c in ac.vectors], dim=space.d)
+    if len(vectors) == 1:
+        return Antichain._from_maximal(space.d, (bwd_counter(vectors[0], priority, space.caps),))
+    return maxac([bwd_counter(c, priority, space.caps) for c in vectors], dim=space.d)
 
 
 def initial_counters(space: CounterSpace) -> Antichain:
@@ -215,16 +231,20 @@ def _has_nonnegative(ac: Antichain) -> bool:
     return any(all(s >= 1 for s in c) for c in ac.vectors)
 
 
-def _cpre_vertex(mu: List[Antichain], u: int, game: ParityGame, space: CounterSpace, ops) -> Antichain:
-    parts = [down_bwd(mu[v], game.priorities[u], space) for v in game.succs[u]]
+def _cpre_vertex(parts: Sequence[Antichain], owner: int, ops) -> Antichain:
+    """The controllable predecessor of one vertex, from the backward images
+    of its successors' downsets: their union if the even player owns the
+    vertex, their intersection if the odd player does.
+
+    It is not intersected with the vertex's current downset: refining from
+    ``initial_counters`` keeps every downset inside the one it replaces (see
+    the module docstring), so that intersection would never remove anything.
+    """
+    combine = ops.union if owner == EVEN else ops.intersect
     combined = parts[0]
-    if game.owners[u] == EVEN:
-        for p in parts[1:]:
-            combined = ops.union(combined, p)
-    else:
-        for p in parts[1:]:
-            combined = ops.intersect(combined, p)
-    return ops.intersect(mu[u], combined)
+    for p in parts[1:]:
+        combined = combine(combined, p)
+    return combined
 
 
 @dataclass
@@ -233,6 +253,7 @@ class SolveResult:
     iterations: int               # vertex refinements performed
     final: List[Antichain]        # greatest fixpoint of the refinement
     space: CounterSpace
+    images: int                   # backward images computed (down_bwd calls)
 
 
 def solve(game: ParityGame, backend: str = "list",
@@ -241,32 +262,47 @@ def solve(game: ParityGame, backend: str = "list",
 
     The worklist starts with every vertex (in ``order`` if given); a change
     at a vertex re-enqueues its predecessors.  The fixpoint is independent
-    of the processing order.
+    of the processing order.  A change only ever shrinks a downset (see the
+    module docstring).
+
+    Each vertex keeps its backward images by priority: ``down_bwd(mu[v], p)``
+    is computed once for each predecessor priority ``p`` and reused until
+    ``mu[v]`` shrinks, which empties the vertex's cache.
     """
     ops = get_backend(backend)
     space = counter_space(game)
     nv = len(game)
     init = initial_counters(space)
     mu: List[Antichain] = [init] * nv
+    cache: List[Dict[int, Antichain]] = [{} for _ in range(nv)]
     preds = game.predecessors()
     queue = deque(order if order is not None else range(nv))
     queued = [False] * nv
     for u in queue:
         queued[u] = True
-    iterations = 0
+    iterations = images = 0
     while queue:
         u = queue.popleft()
         queued[u] = False
         iterations += 1
-        new = _cpre_vertex(mu, u, game, space, ops)
+        pu = game.priorities[u]
+        parts = []
+        for v in game.succs[u]:
+            image = cache[v].get(pu)
+            if image is None:
+                image = cache[v][pu] = down_bwd(mu[v], pu, space)
+                images += 1
+            parts.append(image)
+        new = _cpre_vertex(parts, game.owners[u], ops)
         if new != mu[u]:
             mu[u] = new
+            cache[u].clear()
             for p in preds[u]:
                 if not queued[p]:
                     queued[p] = True
                     queue.append(p)
     winners = [EVEN if _has_nonnegative(mu[v]) else ODD for v in range(nv)]
-    return SolveResult(winners, iterations, mu, space)
+    return SolveResult(winners, iterations, mu, space, images)
 
 
 def synthesize_even_strategy(game: ParityGame, result: SolveResult) -> Dict[int, int]:

@@ -69,12 +69,14 @@ def _build(ac: Antichain) -> STree:
     open node at layer ``j``.  Once a vector is read, its nodes below the
     prefix it shares with the next vector are complete: each is hash-consed
     on (layer, value, successors), whose successors are canonical nodes
-    already, and appended to its parent's children.
+    already, and appended to its parent's children.  A new node's
+    successors are its out-edges, so edges are counted as nodes are made.
     """
     dim = ac.dim
     nodes: dict = {}
     pending: list = [[] for _ in range(dim)]
     descending = ac.vectors[::-1]
+    edge_count = 0
     for i, v in enumerate(descending):
         p = 0  # coordinates shared with the next vector
         if i + 1 < len(descending):
@@ -86,14 +88,14 @@ def _build(ac: Antichain) -> STree:
             node = nodes.get(key)
             if node is None:
                 node = nodes[key] = STNode(j, v[j - 1], succs, len(nodes))
+                edge_count += len(succs)
             children = pending[j - 1]
             children.append(node)
             if j - 1 > p:
                 succs = tuple(children)
                 children.clear()
     root = STNode(0, TOP, tuple(pending[0]), len(nodes))
-    edge_count = len(root.succs) + sum(len(n.succs) for n in nodes.values())
-    return STree(root, dim, len(nodes) + 1, edge_count)
+    return STree(root, dim, len(nodes) + 1, edge_count + len(root.succs))
 
 
 def _search(tree: STree, u: Vector, stats: Optional[Stats]) -> bool:

@@ -7,6 +7,7 @@ from downset import (Antichain, format_vector_set, intersect_list, load_vector_s
                      union_list)
 from downset import core
 from downset.cli import main
+from downset.parity import parse_pgsolver, solve
 
 A_TEXT = "dim 2\n0 2\n2 0\n"
 B_TEXT = "dim 2\n1 1\n"
@@ -160,6 +161,20 @@ def test_solve_parity_output_and_check(capsys, tmp_path):
     assert code == 0
     assert out.splitlines() == ["0 even 1", "1 even"]
     assert strat.read_text() == "0 1\n"
+
+
+def test_solve_parity_stats_flag_leaves_output_unchanged(capsys, tmp_path):
+    text = "parity 3;\n0 3 1 0,1;\n1 2 0 0,2;\n2 1 1 1,3;\n3 0 0 2;\n"
+    pg = tmp_path / "g.pg"
+    pg.write_text(text)
+    code, plain, plain_err = run_main(capsys, ["solve-parity", pg])
+    assert code == 0 and plain_err == ""
+    code, out, err = run_main(capsys, ["solve-parity", pg, "--stats"])
+    assert code == 0
+    assert out == plain
+    r = solve(parse_pgsolver(text))
+    assert r.images > 0
+    assert err == f"refinements={r.iterations} images={r.images}\n"
 
 
 def test_solve_parity_backends_agree(capsys, tmp_path):

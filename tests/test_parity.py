@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import downset.parity as parity_mod
+
 from downset import Antichain
 from downset.parity import (
     EVEN,
@@ -19,7 +21,7 @@ from downset.parity import (
     synthesize_even_strategy,
     zielonka,
 )
-from util import cpre_step, rand_game
+from util import cpre_step, rand_game, reference_solve
 
 # hand-traced reference games
 G_ODD_LOOP = ParityGame([1], [1], [[0]], [0])          # odd self-loop, priority 1
@@ -194,6 +196,49 @@ def test_backend_invariance():
             other = solve(g, backend=backend)
             assert other.winners == base.winners
             assert [a.vectors for a in other.final] == [a.vectors for a in base.final]
+
+
+@pytest.mark.parametrize("backend", ["list", "kdtree", "sharingtree", "cst", "adaptive"])
+def test_solve_matches_reference_solver(backend):
+    # the reference intersects with the old downset and recomputes every image
+    rng = random.Random(83)
+    for _ in range(30):
+        g = rand_game(rng, rng.randint(1, 8), 7, 3)
+        order = list(range(len(g)))
+        rng.shuffle(order)
+        for o in (None, order):
+            r = solve(g, backend=backend, order=o)
+            winners, final, iterations = reference_solve(g, backend=backend, order=o)
+            assert r.winners == winners
+            assert [a.vectors for a in r.final] == [a.vectors for a in final]
+            assert r.iterations == iterations
+
+
+def test_solve_counts_and_reuses_its_images(monkeypatch):
+    computed, used = [], []
+
+    def counted_image(ac, priority, space):
+        computed.append(priority)
+        return down_bwd(ac, priority, space)
+
+    def counted_cpre(parts, owner, ops):
+        used.extend(parts)
+        return cpre_vertex(parts, owner, ops)
+
+    cpre_vertex = parity_mod._cpre_vertex
+    monkeypatch.setattr(parity_mod, "down_bwd", counted_image)
+    monkeypatch.setattr(parity_mod, "_cpre_vertex", counted_cpre)
+    rng = random.Random(89)
+    total_computed = total_used = 0
+    for _ in range(20):
+        g = rand_game(rng, rng.randint(2, 8), 5, 3)
+        computed.clear()
+        used.clear()
+        r = solve(g)
+        assert r.images == len(computed) <= len(used)
+        total_computed += len(computed)
+        total_used += len(used)
+    assert total_computed < total_used
 
 
 def test_all_even_priorities_degenerate_caps():

@@ -127,6 +127,22 @@ def test_node_count_bound_and_language_exactness():
         check_structure(tree)
 
 
+def test_edge_count_equals_reachable_edges():
+    def reachable_edges(tree):
+        return sum(len(n.succs) for n in all_nodes(tree))
+
+    rng = random.Random(29)
+    for _ in range(60):
+        k = rng.randint(1, 6)
+        a = rand_antichain(rng, k, rng.randint(1, 30), rng.randint(1, 9))
+        tree = build_sharingtree(a)
+        assert tree.edge_count == reachable_edges(tree)
+    assert build_sharingtree(Antichain((), dim=3)).edge_count == 0
+    for n in range(1, 9):
+        tree = build_sharingtree(pair_family(n))
+        assert tree.edge_count == reachable_edges(tree) == 6 * n - 2
+
+
 def test_member_examples():
     a = Antichain([(2, 0), (0, 2)])
     tree = build_sharingtree(a)

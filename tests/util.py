@@ -3,15 +3,27 @@
 The oracles here are deliberately independent of the backend
 implementations: membership oracles enumerate, set oracles compare boxes
 pointwise, and the antichain generator maintains maximality by
-definition-level checks.  ``tree_leaves`` and ``cpre_step`` instead reach
-into the k-d tree and the parity solver for structural tests.
+definition-level checks.  ``tree_leaves``, ``cpre_step`` and
+``reference_solve`` instead reach into the k-d tree and the parity solver
+for structural tests.
 """
 
 import itertools
+from collections import deque
 
 from downset import Antichain, ComparisonOutcome, DimensionMismatch, get_backend
 from downset.kdtree import EmptyTree, KdLeaf
-from downset.parity import ParityGame, _cpre_vertex, counter_space
+from downset.core import maxac
+from downset.parity import (
+    EVEN,
+    ODD,
+    ParityGame,
+    _cpre_vertex,
+    bwd_counter,
+    counter_space,
+    down_bwd,
+    initial_counters,
+)
 
 
 def compare(u, v):
@@ -122,13 +134,52 @@ def tree_leaves(tree) -> list:
 
 
 def cpre_step(mu, game, backend="list"):
-    """One synchronous refinement of the whole map; returns the new map and
-    the set of vertices whose downset shrank."""
+    """One synchronous refinement of the whole map, as the solver refines a
+    vertex (no intersection with the old downset); returns the new map and
+    the set of vertices whose downset changed."""
     ops = get_backend(backend)
     space = counter_space(game)
-    nu = [_cpre_vertex(mu, u, game, space, ops) for u in range(len(game))]
+    nu = [_cpre_vertex([down_bwd(mu[v], game.priorities[u], space) for v in game.succs[u]],
+                       game.owners[u], ops)
+          for u in range(len(game))]
     changed = {u for u in range(len(game)) if nu[u] != mu[u]}
     return nu, changed
+
+
+def reference_solve(game, backend="list", order=None):
+    """The worklist solve written out plainly: every backward image is
+    recomputed and reduced at each refinement, and the combined image is
+    intersected with the vertex's current downset.  Returns
+    ``(winners, final, iterations)`` for comparison with ``parity.solve``."""
+    ops = get_backend(backend)
+    space = counter_space(game)
+    nv = len(game)
+    mu = [initial_counters(space)] * nv
+    preds = game.predecessors()
+    queue = deque(order if order is not None else range(nv))
+    queued = [False] * nv
+    for u in queue:
+        queued[u] = True
+    iterations = 0
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        iterations += 1
+        pu = game.priorities[u]
+        parts = [maxac([bwd_counter(c, pu, space.caps) for c in mu[v].vectors], dim=space.d)
+                 for v in game.succs[u]]
+        combined = parts[0]
+        for part in parts[1:]:
+            combined = (ops.union if game.owners[u] == EVEN else ops.intersect)(combined, part)
+        new = ops.intersect(mu[u], combined)
+        if new != mu[u]:
+            mu[u] = new
+            for p in preds[u]:
+                if not queued[p]:
+                    queued[p] = True
+                    queue.append(p)
+    winners = [EVEN if any(min(c) >= 1 for c in mu[v].vectors) else ODD for v in range(nv)]
+    return winners, mu, iterations
 
 
 def rand_game(rng, nv, maxp, maxdeg):
