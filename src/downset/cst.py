@@ -16,15 +16,32 @@ one dominates the other.  What is covering-specific is the simulation
 check and the two set operations below, whose results may keep dominated
 vectors.
 
-Union merges two trees by parallel descent over the successor lists in
-decreasing value order; intersection builds the product, labels each pair
-with the minimum of the two values, and resolves same-value collisions by
-uniting the two subtrees.  Every insertion is guarded by sibling-simulation
-checks: on union only existing-simulates-new is possible (insertions arrive
-in decreasing value order), on intersection both directions are checked and
-an insertion that simulates existing siblings evicts them.  Both operations
-keep the node made for every pair of operand nodes for the rest of the
-call, so a node reached by many paths is merged or multiplied once.
+Union merges two trees over their successor lists in decreasing value
+order; intersection builds the product, labels each pair with the minimum
+of the two values, and resolves same-value collisions by uniting the two
+subtrees.  Every insertion is guarded by sibling-simulation checks: on
+union only existing-simulates-new is possible (insertions arrive in
+decreasing value order), on intersection both directions are checked and a
+node inserted or united evicts the siblings it simulates.  The operands are
+taken to be simulation-minimal, as built trees and the results here are, so
+two successors of the same operand node are never checked against each
+other.
+
+Nothing recurses.  An operation first sweeps down the layers for the pairs
+of operand nodes it reaches, then builds the result bottom-up, hash-consing
+each node on (layer, value, successors) as ``sharingtree._build`` does; a
+result node equal to one of its pair's operand nodes is that node, so a
+result equal to an operand is that operand's tree.  Results count their
+nodes and edges on first read (``STree.node_count``).
+
+Simulation between nodes of layer j needs only the relation at layer
+j + 1, so a batch of pairs is decided by one sweep down for the successor
+pairs it needs and one sweep back up, deepest layer first.  Before any
+sweep, a pair is screened by packed per-layer ceilings (which refute it)
+and leads (which confirm it); a successor list is read only down to the
+first value below the one being simulated; and every decided pair is kept
+for the rest of the call, so each is decided once.  A call counts the
+pairs it decided as comparisons.
 """
 
 from __future__ import annotations
@@ -35,45 +52,203 @@ from .core import Antichain, DimensionMismatch, Stats, Vector, maxac
 from .sharingtree import TOP, STNode, STree, _build, _search, iter_vectors
 
 
+# Ceilings and leads pack one field of _WIDTH bits per layer.  Values above
+# _CAP are packed as _CAP in ceilings and as _CAP - 1 in leads, which keeps
+# both tests sound: a ceiling test then refutes less, a lead test accepts less.
+_WIDTH = 16
+_CAP = (1 << (_WIDTH - 1)) - 1
+
+
+def _guard(fields: int) -> int:
+    """The top bit of each of ``fields`` fields."""
+    ones = ((1 << (_WIDTH * fields)) - 1) // ((1 << _WIDTH) - 1)  # bit 0 of each field
+    return ones << (_WIDTH - 1)
+
+
+class _Call:
+    """The state one operation keeps: the simulation pairs decided, the
+    nodes made, and packed ceilings of the nodes that checks reach.
+
+    The ceiling of a node holds, in one field per layer from its own down,
+    the largest value on that layer below it; its lead holds the values of
+    its path through first successors, the largest at each step.  A node
+    simulated by another has every field of its ceiling no larger than the
+    other's ceiling, and a node whose ceiling is no larger than another's
+    lead is simulated by it (that one path dominates every path below the
+    node).  One big-integer subtraction tests either: the top bit of each
+    field is a guard that a borrow would clear.  Only a pair that neither
+    test settles is swept.
+
+    Ceilings are packed on first use, for the node and every node below it
+    that has none yet, so a call whose checks reach few nodes packs few.
+    """
+
+    __slots__ = ("memo", "table", "ceil", "lead", "depth", "guard")
+
+    def __init__(self, depth: int):
+        """State for nodes of layers up to ``depth``; the guard bits are
+        made when the first ceiling is packed."""
+        self.memo: dict = {}
+        self.table: dict = {}
+        self.ceil: dict = {}
+        self.lead: dict = {}
+        self.depth = depth
+        self.guard = 0
+
+    def pack(self, nodes) -> None:
+        """Pack the ceilings and leads of ``nodes``, all of one layer, and of
+        the nodes below them that have none yet: collected layer by layer,
+        packed deepest first."""
+        ceil, lead = self.ceil, self.lead
+        seen = {n for n in nodes if n not in ceil}
+        if not seen:
+            return
+        if not self.guard:
+            self.guard = _guard(max(self.depth, 1))
+        guard = self.guard
+        order = list(seen)
+        for n in order:  # grows as it is read
+            for s in n.succs:
+                if s not in seen and s not in ceil:
+                    seen.add(s)
+                    order.append(s)
+        for n in reversed(order):
+            v = n.value
+            if v is TOP:
+                c = low = 0
+            else:
+                shift = (n.layer - 1) * _WIDTH
+                c = (v if v < _CAP else _CAP) << shift
+                low = (v if v < _CAP else _CAP - 1) << shift
+            succs = n.succs
+            if succs:
+                lead[n] = low | lead[succs[0]]
+                below = ceil[succs[0]]
+                for s in succs[1:]:
+                    other = ceil[s]
+                    keep = ((below | guard) - other) & guard  # fields where below >= other
+                    keep -= keep >> (_WIDTH - 1)
+                    below = (below & keep) | (other & ~keep)
+                ceil[n] = c | below
+            else:
+                ceil[n] = c
+                lead[n] = low
+
+    def node(self, layer: int, value, succs: tuple) -> STNode:
+        """The call's one node for (layer, value, successors)."""
+        key = (layer, value, succs)
+        node = self.table.get(key)
+        if node is None:
+            node = self.table[key] = STNode(layer, value, succs, len(self.table))
+        return node
+
+    def decide(self, pairs) -> None:
+        """Record in ``memo`` whether ``n`` is simulated by ``m``, for every
+        pair ``(n, m)`` of nodes of one layer with ``val(n) <= val(m)``.
+
+        The sweep down collects, layer by layer, the successor pairs the
+        answers read that are neither decided, trivial (``s is t``) nor
+        settled by ceilings and leads where both nodes have them packed.  It
+        stops early on a pair: a successor that nothing can simulate refutes
+        it, and a successor already simulated needs no other pair.  The
+        sweep up decides the rest, deepest layer first.  Keys hold the
+        nodes themselves (hashed by identity), never ``id()``s that a
+        collected node could pass on.
+        """
+        memo, lead, guard = self.memo, self.lead, self.guard
+        packed = self.ceil.get
+        levels = []
+        todo: dict = {}
+        for pair in pairs:
+            if pair in memo:
+                continue
+            n, m = pair
+            cn, cm = packed(n), packed(m)
+            if cn is not None and cm is not None:
+                if ((cm | guard) - cn) & guard != guard:
+                    memo[pair] = False
+                    continue
+                if ((lead[m] | guard) - cn) & guard == guard:
+                    memo[pair] = True
+                    continue
+            todo[pair] = None
+        while todo:
+            levels.append(todo)
+            below: dict = {}
+            for n, m in todo:
+                succs = m.succs
+                ask = []
+                for s in n.succs:
+                    x = s.value
+                    cs = packed(s)
+                    mark = len(ask)
+                    status = 0  # 0: nothing can simulate s, 1: to sweep, 2: simulated
+                    for t in succs:
+                        if t.value < x:
+                            break  # successors only get smaller
+                        if t is s:
+                            status = 2
+                            break
+                        key = (s, t)
+                        known = memo.get(key)
+                        if known is None and cs is not None:
+                            ct = packed(t)
+                            if ct is not None:
+                                if ((ct | guard) - cs) & guard != guard:
+                                    known = memo[key] = False
+                                elif ((lead[t] | guard) - cs) & guard == guard:
+                                    known = memo[key] = True
+                        if known:
+                            status = 2
+                            break
+                        if known is None:
+                            ask.append(key)
+                            status = 1
+                    if status == 2:
+                        del ask[mark:]  # s is simulated: its other pairs are not needed
+                    elif status == 0:
+                        memo[n, m] = False  # s refutes the pair: nothing below is needed
+                        break
+                else:
+                    for key in ask:
+                        below[key] = None
+            todo = below
+        for level in reversed(levels):
+            for pair in level:
+                if pair in memo:
+                    continue
+                n, m = pair
+                succs = m.succs
+                result = True
+                for s in n.succs:
+                    x = s.value
+                    found = False
+                    for t in succs:
+                        if t.value < x:
+                            break
+                        if t is s or memo.get((s, t)):  # pairs left out are not needed
+                            found = True
+                            break
+                    if not found:
+                        result = False
+                        break
+                memo[pair] = result
+
+
 def simulates(n: STNode, m: STNode) -> bool:
     """True iff ``n`` is forward-simulated by ``m`` (same layer required)."""
     if n.layer != m.layer:
         raise ValueError("simulation compares nodes of the same layer only")
-    return _sim(n, m, {})
-
-
-def _sim(n: STNode, m: STNode, memo: dict) -> bool:
-    # memo keys hold the node objects (hashed by identity): dropped candidate
-    # nodes may be garbage-collected during an operation, and id()-only keys
-    # would collide with recycled addresses
     if n is m:
         return True
-    key = (n, m)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
     if n.value is not TOP and n.value > m.value:
-        memo[key] = False
         return False
-    result = True
-    for s in n.succs:
-        if not any(_sim(s, t, memo) for t in m.succs):
-            result = False
-            break
-    memo[key] = result
-    return result
-
-
-def _add_if_not_simulated(children: list, cand: STNode, memo: dict) -> None:
-    """Append unless an existing sibling simulates the candidate.
-
-    Callers append in decreasing value order, so only the
-    existing-simulates-new direction can hold.
-    """
-    for c in children:
-        if _sim(cand, c, memo):
-            return
-    children.append(cand)
+    leaf = n
+    while leaf.succs:
+        leaf = leaf.succs[0]
+    call = _Call(leaf.layer)
+    call.decide(((n, m),))
+    return call.memo[n, m]
 
 
 def build_cst(ac: Antichain) -> STree:
@@ -87,101 +262,242 @@ def member_cst(tree: STree, u: Vector, stats: Optional[Stats] = None) -> bool:
     return _search(tree, u, stats)
 
 
-def _union_nodes(ns: STNode, nt: STNode, memo: dict, unions: dict) -> STNode:
-    """Merge two equal-valued nodes; the three cases follow the successor
-    lists in decreasing value order.  ``unions`` holds the merge of every
-    node pair done so far, so a shared DAG is merged once per pair, not
-    once per path."""
-    key = (ns, nt)
-    done = unions.get(key)
-    if done is not None:
-        return done
-    children: list = []
-    ss, ts = ns.succs, nt.succs
-    i = j = 0
-    while i < len(ss) or j < len(ts):
-        if i == len(ss) or (j < len(ts) and ss[i].value < ts[j].value):
-            _add_if_not_simulated(children, ts[j], memo)
-            j += 1
-        elif j == len(ts) or ss[i].value > ts[j].value:
-            _add_if_not_simulated(children, ss[i], memo)
+def _merge(roots, call: _Call) -> dict:
+    """The unions of pairs of equal-valued nodes of one layer, as a dict from
+    each pair reached (``roots`` and the pairs below them) to its node.
+
+    The sweep down reads the pairs in the order they are reached, which is
+    layer by layer, and plans each pair's candidate children in decreasing
+    value order: a successor of the first node (side 0), of the second
+    (side 1), or the union of an equal-valued pair below (side 2).  A pair
+    of one node with itself is that node.  The sweep up walks the plans
+    backwards, deepest layer first, and decides each pair's sibling checks
+    as one batch: a candidate is kept unless an earlier one simulates it,
+    which by transitivity is the same as being simulated by a kept one.
+    """
+    order = []
+    queue = list(roots)
+    reached = set(queue)
+    for pair in queue:  # grows while read
+        ns, nt = pair
+        if ns is nt:
+            order.append((pair, None))
+            continue
+        ss, ts = ns.succs, nt.succs
+        ls, lt = len(ss), len(ts)
+        cands = []
+        i = j = 0
+        while i < ls and j < lt:
+            a, b = ss[i], ts[j]
+            if a.value > b.value:
+                cands.append((a, 0))
+                i += 1
+            elif a.value < b.value:
+                cands.append((b, 1))
+                j += 1
+            else:
+                below = (a, b)
+                if below not in reached:
+                    reached.add(below)
+                    queue.append(below)
+                cands.append((below, 2))
+                i += 1
+                j += 1
+        while i < ls:
+            cands.append((ss[i], 0))
             i += 1
+        while j < lt:
+            cands.append((ts[j], 1))
+            j += 1
+        order.append((pair, cands))
+    merged: dict = {}
+    for pair, cands in reversed(order):
+        ns = pair[0]
+        if cands is None:
+            merged[pair] = ns
+            continue
+        if len(cands) == 1:  # one successor on either side: nothing to check
+            c, side = cands[0]
+            nodes = (merged[c] if side == 2 else c,)
         else:
-            # merged nodes face the same sibling check as copied ones
-            _add_if_not_simulated(children, _union_nodes(ss[i], ts[j], memo, unions), memo)
-            i += 1
-            j += 1
-    done = unions[key] = STNode(ns.layer, ns.value, tuple(children))
-    return done
+            nodes = _kept(cands, merged, call)
+        # a union equal to one of the two nodes is that node
+        if nodes == ns.succs:
+            merged[pair] = ns
+        elif nodes == pair[1].succs:
+            merged[pair] = pair[1]
+        else:
+            merged[pair] = call.node(ns.layer, ns.value, nodes)
+    return merged
+
+
+def _kept(cands: list, merged: dict, call: _Call) -> tuple:
+    """The candidates that no earlier one simulates, deciding their checks
+    as one batch."""
+    memo = call.memo
+    resolved = []
+    checks = []
+    for c, side in cands:
+        if side == 2:
+            c = merged[c]
+        top = c.succs[0].value if c.succs else None
+        for d, other in resolved:
+            # siblings of one operand node never simulate each other
+            if side == 2 or other != side:
+                if top is not None and top > d.succs[0].value:
+                    memo[c, d] = False  # its largest successor has nothing above it
+                else:
+                    checks.append((c, d))
+        resolved.append((c, side))
+    if not checks:
+        return tuple([c for c, _ in resolved])
+    if len(checks) > 2 * len(resolved):
+        # candidates met in several checks: packing pays for itself
+        call.pack([c for c, _ in resolved])
+    call.decide(checks)
+    simulated = [c for c, d in checks if memo[c, d]]
+    return tuple([c for c, _ in resolved if c not in simulated])
 
 
 def union_cst(s: STree, t: STree, stats: Optional[Stats] = None) -> STree:
-    """Graph union; counts the simulation pairs it evaluated as comparisons."""
+    """Graph union; counts the simulation pairs it decided as comparisons."""
     if s.dim != t.dim:
         raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
     if s.empty:
         return t
     if t.empty:
         return s
-    memo: dict = {}
-    root = _union_nodes(s.root, t.root, memo, {})
+    roots = (s.root, t.root)
+    call = _Call(s.dim)
+    root = _merge((roots,), call)[roots]
     if stats is not None:
-        stats.comparisons += len(memo)
+        stats.comparisons += len(call.memo)
     return STree(root, s.dim)
 
 
-def _add_succ_intersect(children: list, cand: STNode, memo: dict, unions: dict) -> None:
-    """Insertion with bidirectional checks, for product construction where
-    candidates arrive in no particular value order.
+def _evict(children: list, pos: int, call: _Call) -> None:
+    """Drop the children after position ``pos``, all of smaller value, that
+    the child at ``pos`` simulates."""
+    memo, ceil, guard = call.memo, call.ceil, call.guard
+    node = children[pos]
+    cn, ln = ceil[node] | guard, call.lead[node] | guard
+    lower = []
+    for c in children[pos + 1:]:
+        key = (c, node)
+        if key not in memo:
+            cc = ceil[c]
+            if (cn - cc) & guard != guard:
+                memo[key] = False
+            elif (ln - cc) & guard == guard:
+                memo[key] = True
+            else:
+                lower.append(key)
+    if lower:
+        call.decide(lower)
+    if any(memo[c, node] for c in children[pos + 1:]):
+        children[pos + 1:] = [c for c in children[pos + 1:] if not memo[c, node]]
 
-    Drops the candidate if simulated by an existing sibling; unites subtrees
-    on a value collision; otherwise inserts in decreasing-value position and
-    evicts existing siblings the candidate simulates.
+
+def _insert(children: list, cand: STNode, call: _Call) -> None:
+    """Insertion with checks in both directions, for product construction
+    where candidates arrive in no particular value order.
+
+    Drops the candidate if an existing sibling simulates it; unites
+    subtrees on a value collision; otherwise inserts in decreasing-value
+    position.  The node inserted or united evicts the siblings it
+    simulates.  Candidates and children have their ceilings packed, so
+    the checks are screened by ceilings before any sweep.
     """
-    for c in children:
-        if _sim(cand, c, memo):
-            return
-    for idx, c in enumerate(children):
-        if c.value == cand.value:
-            children[idx] = _union_nodes(c, cand, memo, unions)
-            return
+    memo, ceil, lead, guard = call.memo, call.ceil, call.lead, call.guard
+    cc = ceil[cand]
+    x = cand.value
+    above = []
     pos = 0
-    while pos < len(children) and children[pos].value > cand.value:
+    for c in children:
+        if c.value < x:
+            break  # only siblings of larger or equal value can simulate it
+        if c is cand:
+            return
+        key = (cand, c)
+        known = memo.get(key)
+        if known is None:
+            if ((ceil[c] | guard) - cc) & guard != guard:
+                known = memo[key] = False
+            elif ((lead[c] | guard) - cc) & guard == guard:
+                known = memo[key] = True
+            else:
+                above.append(key)
+        if known:
+            return
         pos += 1
-    children.insert(pos, cand)
-    children[pos + 1:] = [c for c in children[pos + 1:] if not _sim(c, cand, memo)]
-
-
-def _inter_nodes(ns: STNode, nt: STNode, memo: dict, unions: dict, products: dict) -> STNode:
-    """The product of two same-layer nodes; every pair of successors yields
-    a candidate, so nodes of non-empty trees never come out empty.
-    ``products`` holds the product of every node pair done so far, so a
-    shared DAG is multiplied once per pair, not once per path."""
-    key = (ns, nt)
-    done = products.get(key)
-    if done is not None:
-        return done
-    value = ns.value if ns.layer == 0 else min(ns.value, nt.value)
-    children: list = []
-    for ss in ns.succs:
-        for ts in nt.succs:
-            _add_succ_intersect(children, _inter_nodes(ss, ts, memo, unions, products), memo, unions)
-    done = products[key] = STNode(ns.layer, value, tuple(children))
-    return done
+    if above:
+        call.decide(above)
+        if any(memo[p] for p in above):
+            return
+    if pos and children[pos - 1].value == x:
+        pos -= 1
+        # the union with a node that the candidate simulates is the candidate
+        pair = (children[pos], cand)
+        call.decide((pair,))
+        if not memo[pair]:
+            cand = _merge((pair,), call)[pair]
+            if cand not in ceil:
+                call.pack((cand,))
+        children[pos] = cand
+    else:
+        children.insert(pos, cand)
+    _evict(children, pos, call)
 
 
 def intersect_cst(s: STree, t: STree, stats: Optional[Stats] = None) -> STree:
-    """Product intersection; counts the simulation pairs it evaluated as
-    comparisons."""
+    """Product intersection; counts the simulation pairs it decided as
+    comparisons.
+
+    The sweep down reaches every pair of same-layer operand nodes below the
+    roots; the sweep up makes each pair's product from the products of its
+    successor pairs, inserted in successor order.  Every pair of successors
+    yields a candidate, so nodes of non-empty trees never come out empty.
+    """
     if s.dim != t.dim:
         raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
     if s.empty or t.empty:
         return STree(STNode(0, TOP, ()), s.dim)
-    memo: dict = {}
-    root = _inter_nodes(s.root, t.root, memo, {}, {})
+    levels = [((s.root, t.root),)]
+    for _ in range(s.dim):
+        below: dict = {}
+        for ns, nt in levels[-1]:
+            for a in ns.succs:
+                for b in nt.succs:
+                    below[a, b] = None
+        levels.append(below)
+    call = _Call(s.dim)
+    products: dict = {}
+    for level in reversed(levels):
+        for pair in level:
+            ns, nt = pair
+            ss, ts = ns.succs, nt.succs
+            if len(ss) == 1 == len(ts):
+                children = (products[ss[0], ts[0]],)
+            elif ss:
+                cands = [products[a, b] for a in ss for b in ts]
+                call.pack(cands)
+                children = []
+                for cand in cands:
+                    _insert(children, cand, call)
+                children = tuple(children)
+            else:
+                children = ()
+            # a product equal to an operand node is that node
+            value = ns.value if ns.layer == 0 or ns.value <= nt.value else nt.value
+            if children == ss and value == ns.value:
+                products[pair] = ns
+            elif children == ts and value == nt.value:
+                products[pair] = nt
+            else:
+                products[pair] = call.node(ns.layer, value, children)
     if stats is not None:
-        stats.comparisons += len(memo)
-    return STree(root, s.dim)
+        stats.comparisons += len(call.memo)
+    return STree(products[s.root, t.root], s.dim)
 
 
 def maximal_elements(tree: STree) -> Antichain:
@@ -195,33 +511,48 @@ def maximal_elements(tree: STree) -> Antichain:
 build, member = build_cst, member_cst
 
 
+def _reduced(tree: STree, s: STree, a: Antichain, t: STree, b: Antichain) -> Antichain:
+    """The maximal elements of a result ``tree`` of the operands' trees ``s``
+    and ``t``, built from ``a`` and ``b``: a result that is one operand's
+    tree encodes exactly that operand's antichain."""
+    if tree.root is s.root:
+        return a
+    if tree.root is t.root:
+        return b
+    return maximal_elements(tree)
+
+
 def union(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
     """Union of downsets: the graph union of the operands' trees, reduced to
     its maximal elements."""
-    return maximal_elements(union_cst(build(a), build(b), stats))
+    s, t = build(a), build(b)
+    return _reduced(union_cst(s, t, stats), s, a, t, b)
 
 
 def intersect(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
     """Intersection of downsets: the product of the operands' trees, reduced
     to its maximal elements."""
-    return maximal_elements(intersect_cst(build(a), build(b), stats))
+    s, t = build(a), build(b)
+    return _reduced(intersect_cst(s, t, stats), s, a, t, b)
 
 
 def is_simulation_minimal(tree: STree) -> bool:
-    """Structural check: no child of any node simulates a sibling."""
-    if tree.empty:
-        return True
-    memo: dict = {}
-    seen = set()
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        for a in node.succs:
-            for b in node.succs:
-                if a is not b and _sim(a, b, memo):
-                    return False
-        stack.extend(node.succs)
+    """Structural check: no child of any node simulates a sibling.
+
+    The reachable nodes are collected layer by layer; the sibling pairs of
+    each layer are then decided as one batch, deepest layer first.
+    """
+    layers = []
+    layer = (tree.root,)
+    while layer:
+        layers.append(layer)
+        layer = tuple(dict.fromkeys(s for n in layer for s in n.succs))
+    call = _Call(tree.dim)
+    for layer in reversed(layers):
+        checks = [(a, b) for n in layer for a in n.succs for b in n.succs
+                  if a is not b and a.value <= b.value]
+        call.pack([a for pair in checks for a in pair])
+        call.decide(checks)
+        if any(call.memo[p] for p in checks):
+            return False
     return True

@@ -254,6 +254,7 @@ class SolveResult:
     final: List[Antichain]        # greatest fixpoint of the refinement
     space: CounterSpace
     images: int                   # backward images computed (down_bwd calls)
+    backward: List[Dict[int, Antichain]]  # per vertex v: priority p -> down_bwd(final[v], p)
 
 
 def solve(game: ParityGame, backend: str = "list",
@@ -267,7 +268,10 @@ def solve(game: ParityGame, backend: str = "list",
 
     Each vertex keeps its backward images by priority: ``down_bwd(mu[v], p)``
     is computed once for each predecessor priority ``p`` and reused until
-    ``mu[v]`` shrinks, which empties the vertex's cache.
+    ``mu[v]`` shrinks, which empties the vertex's cache.  The caches are
+    returned as ``backward``: a vertex's last refinement comes after its
+    successors' last change, so at the fixpoint they hold the image of
+    every successor's final downset at the priority of each predecessor.
     """
     ops = get_backend(backend)
     space = counter_space(game)
@@ -302,7 +306,7 @@ def solve(game: ParityGame, backend: str = "list",
                     queued[p] = True
                     queue.append(p)
     winners = [EVEN if _has_nonnegative(mu[v]) else ODD for v in range(nv)]
-    return SolveResult(winners, iterations, mu, space, images)
+    return SolveResult(winners, iterations, mu, space, images, cache)
 
 
 def synthesize_even_strategy(game: ParityGame, result: SolveResult) -> Dict[int, int]:
@@ -313,7 +317,8 @@ def synthesize_even_strategy(game: ParityGame, result: SolveResult) -> Dict[int,
     guaranteed after stepping back through the current vertex, compared
     co-lexicographically over the counter components that the current
     priority does not dominate; move to the successor with the greatest
-    such guarantee, ties broken by successor order.
+    such guarantee, ties broken by successor order.  The images are the
+    ones the solve kept (``result.backward``), so none is computed again.
     """
     space = result.space
     strategy: Dict[int, int] = {}
@@ -325,7 +330,7 @@ def synthesize_even_strategy(game: ParityGame, result: SolveResult) -> Dict[int,
         best_key = None
         best_succ = None
         for v in game.succs[u]:
-            image = down_bwd(result.final[v], pu, space)
+            image = result.backward[v][pu]
             keys = [tuple(c[i] for i in reversed(kept))
                     for c in image.vectors if all(s >= 1 for s in c)]
             if not keys:

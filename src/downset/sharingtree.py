@@ -46,19 +46,44 @@ class STNode:
 class STree:
     """A layered DAG plus its bookkeeping.
 
-    ``node_count`` and ``edge_count`` are set by the build; trees produced
-    by the covering set operations are not counted and leave them None.
+    ``node_count`` and ``edge_count`` are the nodes and edges reachable from
+    the root.  The build passes them in; for any other tree (the results of
+    the covering set operations) one layer sweep counts them on first read.
     """
 
-    __slots__ = ("root", "dim", "empty", "node_count", "edge_count")
+    __slots__ = ("root", "dim", "empty", "_counts")
 
     def __init__(self, root: STNode, dim: int, node_count: Optional[int] = None,
                  edge_count: Optional[int] = None):
         self.root = root
         self.dim = dim
         self.empty = not root.succs
-        self.node_count = node_count
-        self.edge_count = edge_count
+        self._counts = None if node_count is None else (node_count, edge_count)
+
+    @property
+    def node_count(self) -> int:
+        return self._counted()[0]
+
+    @property
+    def edge_count(self) -> int:
+        return self._counted()[1]
+
+    def _counted(self) -> tuple:
+        if self._counts is None:
+            seen = {self.root}
+            layer = [self.root]
+            edges = 0
+            while layer:
+                below = []
+                for node in layer:
+                    edges += len(node.succs)
+                    for s in node.succs:
+                        if s not in seen:
+                            seen.add(s)
+                            below.append(s)
+                layer = below
+            self._counts = (len(seen), edges)
+        return self._counts
 
 
 def _build(ac: Antichain) -> STree:

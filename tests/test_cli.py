@@ -243,6 +243,18 @@ def test_high_dimension_sharing_tree_commands_without_traceback(tmp_path):
     assert cli("intersect", pa, pb, "--backend", "sharingtree") == \
         format_vector_set(intersect_list(a, b))
 
+    # sets that differ only in their last two components: the covering
+    # sharing tree's union and product walk 998 shared layers first, and
+    # --check runs every backend, the covering one too
+    c, d = Antichain([(1,) * (k - 2) + (2, 0)]), Antichain([(1,) * (k - 2) + (0, 2)])
+    pc, pd = tmp_path / "c.txt", tmp_path / "d.txt"
+    pc.write_text(format_vector_set(c))
+    pd.write_text(format_vector_set(d))
+    union_text = format_vector_set(union_list(c, d))
+    assert cli("union", pc, pd, "--backend", "cst") == union_text
+    assert cli("intersect", pc, pd, "--backend", "cst") == format_vector_set(intersect_list(c, d))
+    assert cli("union", pc, pd, "--backend", "sharingtree", "--check") == union_text
+
 
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "downset.cli", "count", "--dim", "2",

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from downset import Antichain, Stats, intersect_list, union_list
+from downset import BACKEND_NAMES, Antichain, Stats, get_backend, intersect_list, union_list
 from downset.cst import (
     build_cst,
     intersect_cst,
@@ -15,7 +15,13 @@ from downset.cst import (
     union_cst,
 )
 from downset.sharingtree import STNode, iter_vectors
-from util import brute_member, pair_family, rand_antichain
+from util import (
+    brute_member,
+    pair_family,
+    rand_antichain,
+    reference_intersect_cst,
+    reference_union_cst,
+)
 
 
 def test_simulates_leaves():
@@ -177,3 +183,57 @@ def test_setops_share_nodes_on_pair_family():
     merged = union_cst(tree, tree)
     assert sum(_layer_sizes(merged)) <= pairs
     assert maximal_elements(merged) == union_list(fam, fam)
+
+
+def _reachable(tree):
+    """Distinct nodes reachable from the root."""
+    return sum(_layer_sizes(tree))
+
+
+def _agrees_with_reference(s, t):
+    for op, reference in ((union_cst, reference_union_cst),
+                          (intersect_cst, reference_intersect_cst)):
+        got, want = op(s, t), reference(s, t)
+        assert maximal_elements(got) == maximal_elements(want), op.__name__
+        assert is_simulation_minimal(got), op.__name__
+        assert got.node_count == _reachable(got) <= _reachable(want), op.__name__
+
+
+def test_setops_agree_with_the_recursive_reference():
+    # the layer sweeps keep the reference's maximal elements, stay
+    # simulation-minimal, and make no more nodes than the reference does
+    rng = random.Random(101)
+    for _ in range(3000):
+        k = rng.randint(1, 6)
+        maxval = rng.randint(1, 8)
+        a, b = (Antichain([tuple(rng.randint(0, maxval) for _ in range(k))
+                           for _ in range(rng.randint(1, 40))], dim=k) for _ in "ab")
+        _agrees_with_reference(build_cst(a), build_cst(b))
+    fam = build_cst(pair_family(7))
+    _agrees_with_reference(fam, fam)
+    _agrees_with_reference(fam, build_cst(pair_family(7)))
+
+
+def test_setops_and_checks_at_dimension_2000():
+    # one layer per coordinate and nothing recursive: at k=2000 a walk that
+    # recursed once per layer would exceed the interpreter's stack
+    k = 2000
+    low = Antichain([(1,) * (k - 2) + (2, 0)])
+    high = Antichain([(1,) * (k - 2) + (0, 2)])
+    s, t = build_cst(low), build_cst(high)
+    top = build_cst(Antichain([(1,) * (k - 2) + (2, 2)]))
+    assert simulates(s.root, top.root) and simulates(t.root, top.root)
+    assert not simulates(s.root, t.root) and not simulates(t.root, s.root)
+    u, w = union_cst(s, t), intersect_cst(s, t)
+    assert maximal_elements(u) == union_list(low, high)
+    assert maximal_elements(w) == intersect_list(low, high)
+    for tree in (s, u, w):
+        assert is_simulation_minimal(tree)
+    assert u.node_count == k + 3  # the shared prefix, then two branches
+    assert w.node_count == k + 1
+    inside, outside = (1,) * (k - 2) + (0, 1), (1,) * (k - 2) + (1, 1)
+    for name in BACKEND_NAMES:
+        ops = get_backend(name)
+        assert ops.union(low, high) == union_list(low, high), name
+        assert ops.intersect(low, high) == intersect_list(low, high), name
+        assert ops.member(high, inside) is True and ops.member(low, outside) is False, name

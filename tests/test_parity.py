@@ -21,7 +21,7 @@ from downset.parity import (
     synthesize_even_strategy,
     zielonka,
 )
-from util import cpre_step, rand_game, reference_solve
+from util import cpre_step, rand_game, reference_solve, reference_strategy
 
 # hand-traced reference games
 G_ODD_LOOP = ParityGame([1], [1], [[0]], [0])          # odd self-loop, priority 1
@@ -239,6 +239,29 @@ def test_solve_counts_and_reuses_its_images(monkeypatch):
         total_computed += len(computed)
         total_used += len(used)
     assert total_computed < total_used
+
+
+@pytest.mark.parametrize("backend", ["list", "kdtree", "sharingtree", "cst", "adaptive"])
+def test_strategy_reads_the_images_the_solve_kept(backend, monkeypatch):
+    # at the fixpoint every successor's cache holds its final image at the
+    # predecessor's priority, so the strategy computes none and picks the
+    # same moves as when it recomputed them
+    rng = random.Random(97)
+    games = [rand_game(rng, rng.randint(1, 8), 7, 3) for _ in range(40)]
+    results = [solve(g, backend=backend) for g in games]
+    for g, r in zip(games, results):
+        for u in range(len(g)):
+            for v in g.succs[u]:
+                p = g.priorities[u]
+                assert r.backward[v][p].vectors == down_bwd(r.final[v], p, r.space).vectors
+    expected = [reference_strategy(g, r) for g, r in zip(games, results)]
+
+    def no_image(*args):
+        raise AssertionError("the strategy computed a backward image")
+
+    monkeypatch.setattr(parity_mod, "down_bwd", no_image)
+    for g, r, strat in zip(games, results, expected):
+        assert synthesize_even_strategy(g, r) == strat
 
 
 def test_all_even_priorities_degenerate_caps():

@@ -3,9 +3,11 @@
 The oracles here are deliberately independent of the backend
 implementations: membership oracles enumerate, set oracles compare boxes
 pointwise, and the antichain generator maintains maximality by
-definition-level checks.  ``tree_leaves``, ``cpre_step`` and
-``reference_solve`` instead reach into the k-d tree and the parity solver
-for structural tests.
+definition-level checks.  ``tree_leaves``, ``cpre_step``,
+``reference_solve`` and ``reference_strategy`` instead reach into the k-d
+tree and the parity solver for structural tests, and ``reference_union_cst``
+and ``reference_intersect_cst`` are the covering sharing tree's graph
+operations written recursively.
 """
 
 import itertools
@@ -13,6 +15,7 @@ from collections import deque
 
 from downset import Antichain, ComparisonOutcome, DimensionMismatch, get_backend
 from downset.kdtree import EmptyTree, KdLeaf
+from downset.sharingtree import TOP, STNode, STree
 from downset.core import maxac
 from downset.parity import (
     EVEN,
@@ -182,6 +185,27 @@ def reference_solve(game, backend="list", order=None):
     return winners, mu, iterations
 
 
+def reference_strategy(game, result):
+    """The even strategy with every backward image recomputed from the final
+    downsets, for comparison with ``parity.synthesize_even_strategy``, which
+    reads the images the solve kept."""
+    space = result.space
+    strategy = {}
+    for u in range(len(game)):
+        if game.owners[u] != EVEN or result.winners[u] != EVEN:
+            continue
+        pu = game.priorities[u]
+        kept = [i for i in range(space.d) if 2 * (i + 1) >= pu]
+        best_key = best_succ = None
+        for v in game.succs[u]:
+            keys = [tuple(c[i] for i in reversed(kept))
+                    for c in down_bwd(result.final[v], pu, space).vectors if min(c) >= 1]
+            if keys and (best_key is None or max(keys) > best_key):
+                best_key, best_succ = max(keys), v
+        strategy[u] = best_succ
+    return strategy
+
+
 def rand_game(rng, nv, maxp, maxdeg):
     owners = [rng.randint(0, 1) for _ in range(nv)]
     prios = [rng.randint(0, maxp) for _ in range(nv)]
@@ -190,3 +214,139 @@ def rand_game(rng, nv, maxp, maxdeg):
         deg = rng.randint(1, maxdeg)
         succs.append(sorted(rng.sample(range(nv), min(deg, nv))))
     return ParityGame(owners, prios, succs, list(range(nv)))
+
+
+# The covering sharing tree's union and product as they were written
+# recursively, one call per node pair: the oracle for ``cst.union_cst`` and
+# ``cst.intersect_cst``, whose results must encode the same maximal
+# elements with no more nodes.
+
+def _sim(n: STNode, m: STNode, memo: dict) -> bool:
+    # memo keys hold the node objects (hashed by identity): dropped candidate
+    # nodes may be garbage-collected during an operation, and id()-only keys
+    # would collide with recycled addresses
+    if n is m:
+        return True
+    key = (n, m)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    if n.value is not TOP and n.value > m.value:
+        memo[key] = False
+        return False
+    result = True
+    for s in n.succs:
+        if not any(_sim(s, t, memo) for t in m.succs):
+            result = False
+            break
+    memo[key] = result
+    return result
+
+
+def _add_if_not_simulated(children: list, cand: STNode, memo: dict) -> None:
+    """Append unless an existing sibling simulates the candidate.
+
+    Callers append in decreasing value order, so only the
+    existing-simulates-new direction can hold.
+    """
+    for c in children:
+        if _sim(cand, c, memo):
+            return
+    children.append(cand)
+
+
+def _union_nodes(ns: STNode, nt: STNode, memo: dict, unions: dict) -> STNode:
+    """Merge two equal-valued nodes; the three cases follow the successor
+    lists in decreasing value order.  ``unions`` holds the merge of every
+    node pair done so far, so a shared DAG is merged once per pair, not
+    once per path."""
+    key = (ns, nt)
+    done = unions.get(key)
+    if done is not None:
+        return done
+    children: list = []
+    ss, ts = ns.succs, nt.succs
+    i = j = 0
+    while i < len(ss) or j < len(ts):
+        if i == len(ss) or (j < len(ts) and ss[i].value < ts[j].value):
+            _add_if_not_simulated(children, ts[j], memo)
+            j += 1
+        elif j == len(ts) or ss[i].value > ts[j].value:
+            _add_if_not_simulated(children, ss[i], memo)
+            i += 1
+        else:
+            # merged nodes face the same sibling check as copied ones
+            _add_if_not_simulated(children, _union_nodes(ss[i], ts[j], memo, unions), memo)
+            i += 1
+            j += 1
+    done = unions[key] = STNode(ns.layer, ns.value, tuple(children))
+    return done
+
+
+def reference_union_cst(s, t, stats=None):
+    """Graph union; counts the simulation pairs it evaluated as comparisons."""
+    if s.dim != t.dim:
+        raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
+    if s.empty:
+        return t
+    if t.empty:
+        return s
+    memo: dict = {}
+    root = _union_nodes(s.root, t.root, memo, {})
+    if stats is not None:
+        stats.comparisons += len(memo)
+    return STree(root, s.dim)
+
+
+def _add_succ_intersect(children: list, cand: STNode, memo: dict, unions: dict) -> None:
+    """Insertion with bidirectional checks, for product construction where
+    candidates arrive in no particular value order.
+
+    Drops the candidate if simulated by an existing sibling; unites subtrees
+    on a value collision; otherwise inserts in decreasing-value position and
+    evicts existing siblings the candidate simulates.
+    """
+    for c in children:
+        if _sim(cand, c, memo):
+            return
+    for idx, c in enumerate(children):
+        if c.value == cand.value:
+            children[idx] = _union_nodes(c, cand, memo, unions)
+            return
+    pos = 0
+    while pos < len(children) and children[pos].value > cand.value:
+        pos += 1
+    children.insert(pos, cand)
+    children[pos + 1:] = [c for c in children[pos + 1:] if not _sim(c, cand, memo)]
+
+
+def _inter_nodes(ns: STNode, nt: STNode, memo: dict, unions: dict, products: dict) -> STNode:
+    """The product of two same-layer nodes; every pair of successors yields
+    a candidate, so nodes of non-empty trees never come out empty.
+    ``products`` holds the product of every node pair done so far, so a
+    shared DAG is multiplied once per pair, not once per path."""
+    key = (ns, nt)
+    done = products.get(key)
+    if done is not None:
+        return done
+    value = ns.value if ns.layer == 0 else min(ns.value, nt.value)
+    children: list = []
+    for ss in ns.succs:
+        for ts in nt.succs:
+            _add_succ_intersect(children, _inter_nodes(ss, ts, memo, unions, products), memo, unions)
+    done = products[key] = STNode(ns.layer, value, tuple(children))
+    return done
+
+
+def reference_intersect_cst(s, t, stats=None):
+    """Product intersection; counts the simulation pairs it evaluated as
+    comparisons."""
+    if s.dim != t.dim:
+        raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
+    if s.empty or t.empty:
+        return STree(STNode(0, TOP, ()), s.dim)
+    memo: dict = {}
+    root = _inter_nodes(s.root, t.root, memo, {}, {})
+    if stats is not None:
+        stats.comparisons += len(memo)
+    return STree(root, s.dim)
