@@ -336,6 +336,7 @@ def _kept(cands: list, merged: dict, call: _Call) -> tuple:
     as one batch."""
     memo = call.memo
     resolved = []
+    simulated = set()
     checks = []
     for c, side in cands:
         if side == 2:
@@ -344,18 +345,20 @@ def _kept(cands: list, merged: dict, call: _Call) -> tuple:
         for d, other in resolved:
             # siblings of one operand node never simulate each other
             if side == 2 or other != side:
-                if top is not None and top > d.succs[0].value:
+                if top is None:
+                    memo[c, d] = True  # a leaf of smaller value
+                    simulated.add(c)
+                elif top > d.succs[0].value:
                     memo[c, d] = False  # its largest successor has nothing above it
                 else:
                     checks.append((c, d))
         resolved.append((c, side))
-    if not checks:
-        return tuple([c for c, _ in resolved])
-    if len(checks) > 2 * len(resolved):
-        # candidates met in several checks: packing pays for itself
-        call.pack([c for c, _ in resolved])
-    call.decide(checks)
-    simulated = [c for c, d in checks if memo[c, d]]
+    if checks:
+        if len(checks) > 2 * len(resolved):
+            # candidates met in several checks: packing pays for itself
+            call.pack([c for c, _ in resolved])
+        call.decide(checks)
+        simulated.update(c for c, d in checks if memo[c, d])
     return tuple([c for c, _ in resolved if c not in simulated])
 
 
