@@ -37,11 +37,12 @@ nodes and edges on first read (``STree.node_count``).
 Simulation between nodes of layer j needs only the relation at layer
 j + 1, so a batch of pairs is decided by one sweep down for the successor
 pairs it needs and one sweep back up, deepest layer first.  Before any
-sweep, a pair is screened by packed per-layer ceilings (which refute it)
-and leads (which confirm it); a successor list is read only down to the
-first value below the one being simulated; and every decided pair is kept
-for the rest of the call, so each is decided once.  A call counts the
-pairs it decided as comparisons.
+sweep, a pair is screened by per-layer ceilings (which refute it) and
+leads (which confirm it), packed for nodes that meet several checks; a
+successor list is read only down to the first value below the one being
+simulated; and every decided pair is kept for the rest of the call, so
+each is decided once.  A call counts the pairs it decided as
+comparisons.
 """
 
 from __future__ import annotations
@@ -79,8 +80,9 @@ class _Call:
     field is a guard that a borrow would clear.  Only a pair that neither
     test settles is swept.
 
-    Ceilings are packed on first use, for the node and every node below it
-    that has none yet, so a call whose checks reach few nodes packs few.
+    Ceilings are packed where a node is about to meet several checks at
+    once, together with every node below it that has none yet; a call on
+    small sets, whose nodes meet one check each, packs few and sweeps.
     """
 
     __slots__ = ("memo", "table", "ceil", "lead", "depth", "guard")
