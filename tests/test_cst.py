@@ -214,6 +214,18 @@ def test_setops_agree_with_the_recursive_reference():
     _agrees_with_reference(fam, build_cst(pair_family(7)))
 
 
+def test_setops_with_values_beyond_the_packed_field():
+    # ceilings and leads pack 15-bit values and clamp larger ones; the
+    # clamped tests must still never refute or confirm a pair wrongly
+    rng = random.Random(103)
+    for base in (32760, 10 ** 12):
+        for _ in range(100):
+            k = rng.randint(1, 5)
+            a, b = (Antichain([tuple(base + rng.randint(0, 12) for _ in range(k))
+                               for _ in range(rng.randint(1, 25))], dim=k) for _ in "ab")
+            _agrees_with_reference(build_cst(a), build_cst(b))
+
+
 def test_setops_and_checks_at_dimension_2000():
     # one layer per coordinate and nothing recursive: at k=2000 a walk that
     # recursed once per layer would exceed the interpreter's stack
