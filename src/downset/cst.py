@@ -19,10 +19,11 @@ vectors.
 Union merges two trees over their successor lists in decreasing value
 order; intersection builds the product, labels each pair with the minimum
 of the two values, and resolves same-value collisions by uniting the two
-subtrees.  Every insertion is guarded by sibling-simulation checks: on
-union only existing-simulates-new is possible (insertions arrive in
-decreasing value order), on intersection both directions are checked and a
-node inserted or united evicts the siblings it simulates.  The operands are
+subtrees (or by the new one alone, where it simulates the old).  Every
+insertion is guarded by sibling-simulation checks: on union only
+existing-simulates-new is possible (insertions arrive in decreasing value
+order), on intersection both directions are checked and a node inserted or
+united evicts the siblings it simulates.  The operands are
 taken to be simulation-minimal, as built trees and the results here are, so
 two successors of the same operand node are never checked against each
 other.
@@ -441,7 +442,8 @@ def _insert(children: list, cand: STNode, call: _Call) -> None:
             return
     if pos and children[pos - 1].value == x:
         pos -= 1
-        # the union with a node that the candidate simulates is the candidate
+        # a candidate that simulates its equal-valued sibling covers their
+        # union, so it takes the sibling's place
         pair = (children[pos], cand)
         call.decide((pair,))
         if not memo[pair]:
