@@ -39,11 +39,13 @@ Simulation between nodes of layer j needs only the relation at layer
 j + 1, so a batch of pairs is decided by one sweep down for the successor
 pairs it needs and one sweep back up, deepest layer first.  Before any
 sweep, a pair is screened by per-layer ceilings (which refute it) and
-leads (which confirm it), packed for nodes that meet several checks; a
-successor list is read only down to the first value below the one being
-simulated; and every decided pair is kept for the rest of the call, so
-each is decided once.  A call counts the pairs it decided as
-comparisons.
+leads (which confirm it), packed for nodes that meet several checks in
+trees of at most 64 layers; a successor list is read only down to the first value below the one being
+simulated; every decided pair is kept for the rest of the call, so each
+is decided once; and a union checks no two candidates that are siblings
+in one operand, nor a leaf candidate (an earlier sibling simulates it),
+nor one whose largest successor exceeds an earlier sibling's largest.  A
+call counts the pairs it decided as comparisons.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ from .sharingtree import TOP, STNode, STree, _build, _search, iter_vectors
 # both tests sound: a ceiling test then refutes less, a lead test accepts less.
 _WIDTH = 16
 _CAP = (1 << (_WIDTH - 1)) - 1
+# Trees of more layers are not packed, since every node's ceiling would
+# take _WIDTH bits per layer; their checks are all swept.
+_FIELDS = 64
 
 
 def _guard(fields: int) -> int:
@@ -102,6 +107,8 @@ class _Call:
         """Pack the ceilings and leads of ``nodes``, all of one layer, and of
         the nodes below them that have none yet: collected layer by layer,
         packed deepest first."""
+        if self.depth > _FIELDS:
+            return
         ceil, lead = self.ceil, self.lead
         seen = {n for n in nodes if n not in ceil}
         if not seen:
@@ -145,36 +152,38 @@ class _Call:
             node = self.table[key] = STNode(layer, value, succs, len(self.table))
         return node
 
+    def settle(self, pair: tuple):
+        """Whether ``n`` is simulated by ``m`` for ``pair = (n, m)``, if
+        known without a sweep: decided before, or settled by ceilings and
+        leads where both nodes have them packed (and then recorded).  None
+        otherwise."""
+        known = self.memo.get(pair)
+        if known is None and self.ceil:
+            n, m = pair
+            cn, cm = self.ceil.get(n), self.ceil.get(m)
+            if cn is not None and cm is not None:
+                guard = self.guard
+                if ((cm | guard) - cn) & guard != guard:
+                    known = self.memo[pair] = False
+                elif ((self.lead[m] | guard) - cn) & guard == guard:
+                    known = self.memo[pair] = True
+        return known
+
     def decide(self, pairs) -> None:
         """Record in ``memo`` whether ``n`` is simulated by ``m``, for every
         pair ``(n, m)`` of nodes of one layer with ``val(n) <= val(m)``.
 
         The sweep down collects, layer by layer, the successor pairs the
-        answers read that are neither decided, trivial (``s is t``) nor
-        settled by ceilings and leads where both nodes have them packed.  It
+        answers read that are neither trivial (``s is t``) nor settled.  It
         stops early on a pair: a successor that nothing can simulate refutes
         it, and a successor already simulated needs no other pair.  The
         sweep up decides the rest, deepest layer first.  Keys hold the
         nodes themselves (hashed by identity), never ``id()``s that a
         collected node could pass on.
         """
-        memo, lead, guard = self.memo, self.lead, self.guard
-        packed = self.ceil.get
+        memo, settle = self.memo, self.settle
         levels = []
-        todo: dict = {}
-        for pair in pairs:
-            if pair in memo:
-                continue
-            n, m = pair
-            cn, cm = packed(n), packed(m)
-            if cn is not None and cm is not None:
-                if ((cm | guard) - cn) & guard != guard:
-                    memo[pair] = False
-                    continue
-                if ((lead[m] | guard) - cn) & guard == guard:
-                    memo[pair] = True
-                    continue
-            todo[pair] = None
+        todo = {pair: None for pair in pairs if settle(pair) is None}
         while todo:
             levels.append(todo)
             below: dict = {}
@@ -183,7 +192,6 @@ class _Call:
                 ask = []
                 for s in n.succs:
                     x = s.value
-                    cs = packed(s)
                     mark = len(ask)
                     status = 0  # 0: nothing can simulate s, 1: to sweep, 2: simulated
                     for t in succs:
@@ -193,14 +201,7 @@ class _Call:
                             status = 2
                             break
                         key = (s, t)
-                        known = memo.get(key)
-                        if known is None and cs is not None:
-                            ct = packed(t)
-                            if ct is not None:
-                                if ((ct | guard) - cs) & guard != guard:
-                                    known = memo[key] = False
-                                elif ((lead[t] | guard) - cs) & guard == guard:
-                                    known = memo[key] = True
+                        known = settle(key)
                         if known:
                             status = 2
                             break
@@ -343,7 +344,11 @@ def _kept(cands: list, merged: dict, call: _Call) -> tuple:
     checks = []
     for c, side in cands:
         if side == 2:
-            c = merged[c]
+            pair, c = c, merged[c]
+            if c is pair[0]:  # a union that is one operand's node is its sibling there
+                side = 0
+            elif c is pair[1]:
+                side = 1
         top = c.succs[0].value if c.succs else None
         for d, other in resolved:
             # siblings of one operand node never simulate each other
@@ -384,24 +389,13 @@ def union_cst(s: STree, t: STree, stats: Optional[Stats] = None) -> STree:
 def _evict(children: list, pos: int, call: _Call) -> None:
     """Drop the children after position ``pos``, all of smaller value, that
     the child at ``pos`` simulates."""
-    memo, ceil, guard = call.memo, call.ceil, call.guard
     node = children[pos]
-    cn, ln = ceil[node] | guard, call.lead[node] | guard
-    lower = []
-    for c in children[pos + 1:]:
-        key = (c, node)
-        if key not in memo:
-            cc = ceil[c]
-            if (cn - cc) & guard != guard:
-                memo[key] = False
-            elif (ln - cc) & guard == guard:
-                memo[key] = True
-            else:
-                lower.append(key)
+    lower = [(c, node) for c in children[pos + 1:]]
     if lower:
+        memo = call.memo
         call.decide(lower)
-    if any(memo[c, node] for c in children[pos + 1:]):
-        children[pos + 1:] = [c for c in children[pos + 1:] if not memo[c, node]]
+        if any(memo[p] for p in lower):
+            children[pos + 1:] = [c for c, _ in lower if not memo[c, node]]
 
 
 def _insert(children: list, cand: STNode, call: _Call) -> None:
@@ -411,11 +405,9 @@ def _insert(children: list, cand: STNode, call: _Call) -> None:
     Drops the candidate if an existing sibling simulates it; unites
     subtrees on a value collision; otherwise inserts in decreasing-value
     position.  The node inserted or united evicts the siblings it
-    simulates.  Candidates and children have their ceilings packed, so
-    the checks are screened by ceilings before any sweep.
+    simulates.
     """
-    memo, ceil, lead, guard = call.memo, call.ceil, call.lead, call.guard
-    cc = ceil[cand]
+    memo = call.memo
     x = cand.value
     above = []
     pos = 0
@@ -425,16 +417,11 @@ def _insert(children: list, cand: STNode, call: _Call) -> None:
         if c is cand:
             return
         key = (cand, c)
-        known = memo.get(key)
-        if known is None:
-            if ((ceil[c] | guard) - cc) & guard != guard:
-                known = memo[key] = False
-            elif ((lead[c] | guard) - cc) & guard == guard:
-                known = memo[key] = True
-            else:
-                above.append(key)
+        known = call.settle(key)
         if known:
             return
+        if known is None:
+            above.append(key)
         pos += 1
     if above:
         call.decide(above)
@@ -448,8 +435,7 @@ def _insert(children: list, cand: STNode, call: _Call) -> None:
         call.decide((pair,))
         if not memo[pair]:
             cand = _merge((pair,), call)[pair]
-            if cand not in ceil:
-                call.pack((cand,))
+            call.pack((cand,))
         children[pos] = cand
     else:
         children.insert(pos, cand)
@@ -518,29 +504,16 @@ def maximal_elements(tree: STree) -> Antichain:
 build, member = build_cst, member_cst
 
 
-def _reduced(tree: STree, s: STree, a: Antichain, t: STree, b: Antichain) -> Antichain:
-    """The maximal elements of a result ``tree`` of the operands' trees ``s``
-    and ``t``, built from ``a`` and ``b``: a result that is one operand's
-    tree encodes exactly that operand's antichain."""
-    if tree.root is s.root:
-        return a
-    if tree.root is t.root:
-        return b
-    return maximal_elements(tree)
-
-
 def union(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
     """Union of downsets: the graph union of the operands' trees, reduced to
     its maximal elements."""
-    s, t = build(a), build(b)
-    return _reduced(union_cst(s, t, stats), s, a, t, b)
+    return maximal_elements(union_cst(build(a), build(b), stats))
 
 
 def intersect(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
     """Intersection of downsets: the product of the operands' trees, reduced
     to its maximal elements."""
-    s, t = build(a), build(b)
-    return _reduced(intersect_cst(s, t, stats), s, a, t, b)
+    return maximal_elements(intersect_cst(build(a), build(b), stats))
 
 
 def is_simulation_minimal(tree: STree) -> bool:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -209,6 +210,11 @@ def test_setops_agree_with_the_recursive_reference():
         a, b = (Antichain([tuple(rng.randint(0, maxval) for _ in range(k))
                            for _ in range(rng.randint(1, 40))], dim=k) for _ in "ab")
         _agrees_with_reference(build_cst(a), build_cst(b))
+    for k in (64, 65):  # the deepest trees packed, and the shallowest swept alone
+        for _ in range(20):
+            a, b = (Antichain([tuple(rng.randint(0, 3) for _ in range(k))
+                               for _ in range(rng.randint(1, 8))], dim=k) for _ in "ab")
+            _agrees_with_reference(build_cst(a), build_cst(b))
     fam = build_cst(pair_family(7))
     _agrees_with_reference(fam, fam)
     _agrees_with_reference(fam, build_cst(pair_family(7)))
@@ -249,3 +255,28 @@ def test_setops_and_checks_at_dimension_2000():
         assert ops.union(low, high) == union_list(low, high), name
         assert ops.intersect(low, high) == intersect_list(low, high), name
         assert ops.member(high, inside) is True and ops.member(low, outside) is False, name
+
+
+def test_setops_at_dimension_2000_on_sets_that_branch_at_the_root():
+    # two vectors per operand that differ in their first component, so the
+    # trees branch at the root: the product multiplies two whole paths per
+    # pair of root successors, and sibling checks sweep down to the last
+    # layers; no node may cost memory per layer below it
+    k = 2000
+    a = Antichain([(3,) + (1,) * (k - 3) + (2, 0), (1,) + (2,) * (k - 3) + (0, 2)])
+    b = Antichain([(2,) + (1,) * (k - 3) + (0, 2), (0,) + (2,) * (k - 3) + (2, 0)])
+    s, t = build_cst(a), build_cst(b)
+    assert not simulates(s.root.succs[1], s.root.succs[0])
+    tracemalloc.start()
+    try:
+        u, w = union_cst(s, t), intersect_cst(s, t)
+        for tree in (s, t, u, w):
+            assert is_simulation_minimal(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert maximal_elements(u) == union_list(a, b)
+    assert maximal_elements(w) == intersect_list(a, b)
+    assert u.node_count <= s.node_count + t.node_count
+    assert w.node_count <= 4 * (k + 1)
