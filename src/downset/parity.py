@@ -261,7 +261,8 @@ def solve(game: ParityGame, backend: str = "list",
           order: Optional[Sequence[int]] = None) -> SolveResult:
     """Worklist iteration to the greatest fixpoint, then the winner test.
 
-    The worklist starts with every vertex (in ``order`` if given); a change
+    The worklist starts with every vertex (in ``order`` if given, which
+    must list each vertex once); a change
     at a vertex re-enqueues its predecessors.  The fixpoint is independent
     of the processing order.  A change only ever shrinks a downset (see the
     module docstring).
@@ -276,6 +277,8 @@ def solve(game: ParityGame, backend: str = "list",
     ops = get_backend(backend)
     space = counter_space(game)
     nv = len(game)
+    if order is not None and sorted(order) != list(range(nv)):
+        raise ValueError("order must list every vertex exactly once")
     init = initial_counters(space)
     mu: List[Antichain] = [init] * nv
     cache: List[Dict[int, Antichain]] = [{} for _ in range(nv)]

@@ -198,6 +198,17 @@ def test_backend_invariance():
             assert [a.vectors for a in other.final] == [a.vectors for a in base.final]
 
 
+def test_solve_rejects_an_order_that_is_not_a_permutation():
+    # a vertex left out of the order would never be refined, and the
+    # strategy would find no kept image for it
+    g = ParityGame([0, 1, 0], [2, 1, 0], [[1], [2], [0]], [0, 1, 2])
+    for order in ([0, 1], [0, 1, 1], [0, 1, 2, 2], [0, 1, 3]):
+        with pytest.raises(ValueError):
+            solve(g, order=order)
+    r = solve(g, order=[2, 0, 1])
+    assert synthesize_even_strategy(g, r) == synthesize_even_strategy(g, solve(g))
+
+
 @pytest.mark.parametrize("backend", ["list", "kdtree", "sharingtree", "cst", "adaptive"])
 def test_solve_matches_reference_solver(backend):
     # the reference intersects with the old downset and recomputes every image
