@@ -38,14 +38,15 @@ nodes and edges on first read (``STree.node_count``).
 Simulation between nodes of layer j needs only the relation at layer
 j + 1, so a batch of pairs is decided by one sweep down for the successor
 pairs it needs and one sweep back up, deepest layer first.  Before any
-sweep, a pair is screened by per-layer ceilings (which refute it) and
-leads (which confirm it), packed for nodes that meet several checks in
-trees of at most 64 layers; a successor list is read only down to the first value below the one being
-simulated; every decided pair is kept for the rest of the call, so each
-is decided once; and a union checks no two candidates that are siblings
-in one operand, nor a leaf candidate (an earlier sibling simulates it),
-nor one whose largest successor exceeds an earlier sibling's largest.  A
-call counts the pairs it decided as comparisons.
+sweep, a pair is settled where it can be: a node with no successors is
+simulated by any node of at least its value, one whose largest successor
+exceeds the other's largest is not, and per-layer ceilings (which refute)
+and leads (which confirm) are packed for nodes that meet several checks
+in trees of at most 64 layers.  A successor list is read only down to the
+first value below the one being simulated; every decided pair is kept for
+the rest of the call, so each is decided once; and a union checks no two
+candidates that are siblings in one operand.  A call counts the pairs it
+decided as comparisons.
 """
 
 from __future__ import annotations
@@ -153,13 +154,21 @@ class _Call:
         return node
 
     def settle(self, pair: tuple):
-        """Whether ``n`` is simulated by ``m`` for ``pair = (n, m)``, if
-        known without a sweep: decided before, or settled by ceilings and
-        leads where both nodes have them packed (and then recorded).  None
-        otherwise."""
+        """Whether ``n`` is simulated by ``m`` for ``pair = (n, m)``, with
+        ``val(n) <= val(m)``, if known without a sweep: decided before, or
+        settled (and then recorded) because ``n`` has no successors, because
+        its largest successor exceeds the largest of ``m``, or by ceilings
+        and leads where both nodes have them packed.  None otherwise."""
         known = self.memo.get(pair)
-        if known is None and self.ceil:
-            n, m = pair
+        if known is not None:
+            return known
+        n, m = pair
+        below, above = n.succs, m.succs
+        if not below:
+            known = self.memo[pair] = True  # nothing to simulate below n
+        elif not above or below[0].value > above[0].value:
+            known = self.memo[pair] = False  # n's largest successor has nothing above it
+        elif self.ceil:
             cn, cm = self.ceil.get(n), self.ceil.get(m)
             if cn is not None and cm is not None:
                 guard = self.guard
@@ -340,7 +349,7 @@ def _kept(cands: list, merged: dict, call: _Call) -> tuple:
     as one batch."""
     memo = call.memo
     resolved = []
-    simulated = set()
+    simulated = ()
     checks = []
     for c, side in cands:
         if side == 2:
@@ -349,24 +358,17 @@ def _kept(cands: list, merged: dict, call: _Call) -> tuple:
                 side = 0
             elif c is pair[1]:
                 side = 1
-        top = c.succs[0].value if c.succs else None
         for d, other in resolved:
             # siblings of one operand node never simulate each other
             if side == 2 or other != side:
-                if top is None:
-                    memo[c, d] = True  # a leaf of smaller value
-                    simulated.add(c)
-                elif top > d.succs[0].value:
-                    memo[c, d] = False  # its largest successor has nothing above it
-                else:
-                    checks.append((c, d))
+                checks.append((c, d))
         resolved.append((c, side))
     if checks:
         if len(checks) > 2 * len(resolved):
             # candidates met in several checks: packing pays for itself
             call.pack([c for c, _ in resolved])
         call.decide(checks)
-        simulated.update(c for c, d in checks if memo[c, d])
+        simulated = {c for c, d in checks if memo[c, d]}
     return tuple([c for c, _ in resolved if c not in simulated])
 
 
