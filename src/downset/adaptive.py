@@ -9,8 +9,9 @@ predicate is evaluated in logarithm space with exact integer arithmetic:
 This module also provides the uniform dispatch table used by the CLI and
 the parity solver to run any operation through a named backend: the list,
 k-d tree and sharing-tree backends share ``core.union`` and
-``core.intersect`` over their index modules; the covering sharing tree keeps
-its graph operations.
+``core.intersect`` over their index modules; the covering sharing tree
+intersects through ``core.intersect`` over its index too, and keeps only
+its graph union.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ BACKENDS = {
     "list": BackendOps("list", member_list, union_list, intersect_list),
     "kdtree": _over_index("kdtree", _kd),
     "sharingtree": _over_index("sharingtree", _st),
-    "cst": BackendOps("cst", partial(member, _cst), _cst.union, _cst.intersect),
+    "cst": BackendOps("cst", partial(member, _cst), _cst.union, partial(intersect, _cst)),
     "adaptive": BackendOps("adaptive", member_adaptive, union_adaptive, intersect_adaptive),
 }
 

@@ -27,6 +27,7 @@ ending at position ``hi``.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
 Vector = tuple  # tuple[int, ...]
@@ -265,7 +266,14 @@ class Antichain:
         return iter(self.vectors)
 
     def __contains__(self, v) -> bool:
-        return tuple(v) in set(self.vectors)
+        """Is ``v`` a member (not merely dominated)?  A binary search of the
+        sorted ``vectors``."""
+        v = tuple(v)
+        if len(v) != self.dim:
+            return False
+        vectors = self.vectors
+        i = bisect_left(vectors, v)
+        return i < len(vectors) and vectors[i] == v
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Antichain):
@@ -344,10 +352,10 @@ class DownsetIndex(Protocol):
     :func:`member`: an index ``build`` from an antichain, and ``member``
     queries on it that count their work into ``stats``.
 
-    The backend modules ``kdtree``, ``sharingtree`` and (for membership)
-    ``cst`` are passed as the index themselves: the functions are looked up
-    on every call, so a wrapper installed on the module sees each build and
-    query.
+    The backend modules ``kdtree``, ``sharingtree`` and (for membership and
+    intersection) ``cst`` are passed as the index themselves: the functions
+    are looked up on every call, so a wrapper installed on the module sees
+    each build and query.
     """
 
     def build(self, ac: Antichain): ...

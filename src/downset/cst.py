@@ -13,23 +13,23 @@ uses that one's node, build, membership search, iterator and DOT dump.
 Built from an antichain, the minimal DAG is already simulation-minimal: a
 sibling that simulated another would give two distinct members of which
 one dominates the other.  What is covering-specific is the simulation
-check and the two set operations below, whose results may keep dominated
-vectors.
+check and the graph union below, whose results may keep dominated vectors.
 
 Union merges two trees over their successor lists in decreasing value
-order; intersection builds the product, labels each pair with the minimum
-of the two values, and resolves same-value collisions by uniting the two
-subtrees (or by the new one alone, where it simulates the old).  Every
-insertion is guarded by sibling-simulation checks: on union only
-existing-simulates-new is possible (insertions arrive in decreasing value
-order), on intersection both directions are checked and a node inserted or
-united evicts the siblings it simulates.  The operands are
-taken to be simulation-minimal, as built trees and the results here are, so
-two successors of the same operand node are never checked against each
-other.
+order.  Every insertion is guarded by a sibling-simulation check, and only
+existing-simulates-new is possible, since insertions arrive in decreasing
+value order.  The operands are taken to be simulation-minimal, as built
+trees and unions are, so two successors of the same operand node are never
+checked against each other.
 
-Nothing recurses.  An operation first sweeps down the layers for the pairs
-of operand nodes it reaches, then builds the result bottom-up, hash-consing
+Intersection has no graph operation here: it is ``core.intersect`` over
+this module as the index (``build`` and ``member``), as for the sharing
+tree.  The graph product it replaced made a node for every pair of
+same-layer operand nodes the roots reach, and took over ten times as long
+as the intersection through the index on the same sets.
+
+Nothing recurses.  A union first sweeps down the layers for the pairs of
+operand nodes it reaches, then builds the result bottom-up, hash-consing
 each node on (layer, value, successors) as ``sharingtree._build`` does; a
 result node equal to one of its pair's operand nodes is that node, so a
 result equal to an operand is that operand's tree.  Results count their
@@ -74,8 +74,9 @@ def _guard(fields: int) -> int:
 
 
 class _Call:
-    """The state one operation keeps: the simulation pairs decided, the
-    nodes made, and packed ceilings of the nodes that checks reach.
+    """The state one graph union or simulation check keeps: the simulation
+    pairs decided, the nodes made, and packed ceilings of the nodes that
+    checks reach.
 
     The ceiling of a node holds, in one field per layer from its own down,
     the largest value on that layer below it; its lead holds the values of
@@ -275,9 +276,8 @@ def member_cst(tree: STree, u: Vector, stats: Optional[Stats] = None) -> bool:
     return _search(tree, u, stats)
 
 
-def _merge(roots, call: _Call) -> dict:
-    """The unions of pairs of equal-valued nodes of one layer, as a dict from
-    each pair reached (``roots`` and the pairs below them) to its node.
+def _merge(root: tuple, call: _Call) -> STNode:
+    """The union of a pair of equal-valued nodes of one layer.
 
     The sweep down reads the pairs in the order they are reached, which is
     layer by layer, and plans each pair's candidate children in decreasing
@@ -289,8 +289,8 @@ def _merge(roots, call: _Call) -> dict:
     which by transitivity is the same as being simulated by a kept one.
     """
     order = []
-    queue = list(roots)
-    reached = set(queue)
+    queue = [root]
+    reached = {root}
     for pair in queue:  # grows while read
         ns, nt = pair
         if ns is nt:
@@ -341,7 +341,7 @@ def _merge(roots, call: _Call) -> dict:
             merged[pair] = pair[1]
         else:
             merged[pair] = call.node(ns.layer, ns.value, nodes)
-    return merged
+    return merged[root]
 
 
 def _kept(cands: list, merged: dict, call: _Call) -> tuple:
@@ -380,119 +380,11 @@ def union_cst(s: STree, t: STree, stats: Optional[Stats] = None) -> STree:
         return t
     if t.empty:
         return s
-    roots = (s.root, t.root)
     call = _Call(s.dim)
-    root = _merge((roots,), call)[roots]
+    root = _merge((s.root, t.root), call)
     if stats is not None:
         stats.comparisons += len(call.memo)
     return STree(root, s.dim)
-
-
-def _evict(children: list, pos: int, call: _Call) -> None:
-    """Drop the children after position ``pos``, all of smaller value, that
-    the child at ``pos`` simulates."""
-    node = children[pos]
-    lower = [(c, node) for c in children[pos + 1:]]
-    if lower:
-        memo = call.memo
-        call.decide(lower)
-        if any(memo[p] for p in lower):
-            children[pos + 1:] = [c for c, _ in lower if not memo[c, node]]
-
-
-def _insert(children: list, cand: STNode, call: _Call) -> None:
-    """Insertion with checks in both directions, for product construction
-    where candidates arrive in no particular value order.
-
-    Drops the candidate if an existing sibling simulates it; unites
-    subtrees on a value collision; otherwise inserts in decreasing-value
-    position.  The node inserted or united evicts the siblings it
-    simulates.
-    """
-    memo = call.memo
-    x = cand.value
-    above = []
-    pos = 0
-    for c in children:
-        if c.value < x:
-            break  # only siblings of larger or equal value can simulate it
-        if c is cand:
-            return
-        key = (cand, c)
-        known = call.settle(key)
-        if known:
-            return
-        if known is None:
-            above.append(key)
-        pos += 1
-    if above:
-        call.decide(above)
-        if any(memo[p] for p in above):
-            return
-    if pos and children[pos - 1].value == x:
-        pos -= 1
-        # a candidate that simulates its equal-valued sibling covers their
-        # union, so it takes the sibling's place
-        pair = (children[pos], cand)
-        call.decide((pair,))
-        if not memo[pair]:
-            cand = _merge((pair,), call)[pair]
-            call.pack((cand,))
-        children[pos] = cand
-    else:
-        children.insert(pos, cand)
-    _evict(children, pos, call)
-
-
-def intersect_cst(s: STree, t: STree, stats: Optional[Stats] = None) -> STree:
-    """Product intersection; counts the simulation pairs it decided as
-    comparisons.
-
-    The sweep down reaches every pair of same-layer operand nodes below the
-    roots; the sweep up makes each pair's product from the products of its
-    successor pairs, inserted in successor order.  Every pair of successors
-    yields a candidate, so nodes of non-empty trees never come out empty.
-    """
-    if s.dim != t.dim:
-        raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
-    if s.empty or t.empty:
-        return STree(STNode(0, TOP, ()), s.dim)
-    levels = [((s.root, t.root),)]
-    for _ in range(s.dim):
-        below: dict = {}
-        for ns, nt in levels[-1]:
-            for a in ns.succs:
-                for b in nt.succs:
-                    below[a, b] = None
-        levels.append(below)
-    call = _Call(s.dim)
-    products: dict = {}
-    for level in reversed(levels):
-        for pair in level:
-            ns, nt = pair
-            ss, ts = ns.succs, nt.succs
-            if len(ss) == 1 == len(ts):
-                children = (products[ss[0], ts[0]],)
-            elif ss:
-                cands = [products[a, b] for a in ss for b in ts]
-                call.pack(cands)
-                children = []
-                for cand in cands:
-                    _insert(children, cand, call)
-                children = tuple(children)
-            else:
-                children = ()
-            # a product equal to an operand node is that node
-            value = ns.value if ns.layer == 0 or ns.value <= nt.value else nt.value
-            if children == ss and value == ns.value:
-                products[pair] = ns
-            elif children == ts and value == nt.value:
-                products[pair] = nt
-            else:
-                products[pair] = call.node(ns.layer, value, children)
-    if stats is not None:
-        stats.comparisons += len(call.memo)
-    return STree(products[s.root, t.root], s.dim)
 
 
 def maximal_elements(tree: STree) -> Antichain:
@@ -502,7 +394,7 @@ def maximal_elements(tree: STree) -> Antichain:
 
 
 # The downset index protocol (core.DownsetIndex) of this backend, for
-# membership only: union and intersection are the graph operations.
+# membership and intersection: union is the graph operation.
 build, member = build_cst, member_cst
 
 
@@ -510,12 +402,6 @@ def union(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichai
     """Union of downsets: the graph union of the operands' trees, reduced to
     its maximal elements."""
     return maximal_elements(union_cst(build(a), build(b), stats))
-
-
-def intersect(a: Antichain, b: Antichain, stats: Optional[Stats] = None) -> Antichain:
-    """Intersection of downsets: the product of the operands' trees, reduced
-    to its maximal elements."""
-    return maximal_elements(intersect_cst(build(a), build(b), stats))
 
 
 def is_simulation_minimal(tree: STree) -> bool:

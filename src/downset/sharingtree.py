@@ -18,7 +18,8 @@ the only query: ``core.union`` and ``core.intersect`` need no other.
 
 The covering sharing tree (``cst``) is the same layered DAG: it shares this
 module's node, build, search, iterator and DOT dump, and adds only its
-simulation-based union and intersection.
+simulation-based union; its intersection is ``core.intersect`` over the
+same build and search.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class STree:
 
     ``node_count`` and ``edge_count`` are the nodes and edges reachable from
     the root.  The build passes them in; for any other tree (the results of
-    the covering set operations) one layer sweep counts them on first read.
+    the covering union) one layer sweep counts them on first read.
     """
 
     __slots__ = ("root", "dim", "empty", "_counts")

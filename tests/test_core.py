@@ -345,6 +345,24 @@ def test_antichain_construction_canonicalizes():
     assert "maxac" not in downset.__all__
 
 
+def test_antichain_contains_members_only():
+    ac = Antichain([(0, 3), (1, 2), (3, 0)])
+    for v in ac.vectors:
+        assert v in ac
+    # dominated, dominating, and between or beyond the sorted members
+    for v in ((0, 2), (1, 3), (0, 0), (2, 1), (0, 4), (4, 0)):
+        assert v not in ac
+    assert [1, 2] in ac and [1, 1] not in ac
+    # a wrong length is no member, even as a prefix of one
+    assert (1,) not in ac and (1, 2, 0) not in ac and () not in ac
+    assert (0,) not in Antichain((), dim=2)
+    rng = random.Random(13)
+    for _ in range(200):
+        a = rand_antichain(rng, 3, 12, 4)
+        for u in box_points(3, 4):
+            assert (u in a) == (u in set(a.vectors))
+
+
 def test_list_setop_comparison_counts_are_pinned():
     # counts of the list backend on one seeded pair; they must not drift when
     # the shared set operations change

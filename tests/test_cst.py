@@ -8,7 +8,6 @@ import pytest
 from downset import BACKEND_NAMES, Antichain, Stats, get_backend, intersect_list, union_list
 from downset.cst import (
     build_cst,
-    intersect_cst,
     is_simulation_minimal,
     maximal_elements,
     member_cst,
@@ -20,7 +19,6 @@ from util import (
     brute_member,
     pair_family,
     rand_antichain,
-    reference_intersect_cst,
     reference_union_cst,
 )
 
@@ -100,24 +98,37 @@ def test_union_closure_examples():
 
 
 def test_intersect_closure_examples():
-    s = build_cst(Antichain([(2, 0), (0, 2)]))
-    t = build_cst(Antichain([(1, 1)]))
-    w = intersect_cst(s, t)
-    assert maximal_elements(w) == Antichain([(1, 0), (0, 1)])
-    assert is_simulation_minimal(w)
-    same = intersect_cst(s, s)
-    assert maximal_elements(same) == Antichain([(2, 0), (0, 2)])
-    disjoint = intersect_cst(build_cst(Antichain([(1, 0)])), build_cst(Antichain([(0, 1)])))
-    assert maximal_elements(disjoint) == Antichain([(0, 0)])
+    # intersection goes through the index, which yields an antichain, not a tree
+    intersect = get_backend("cst").intersect
+    s, t = Antichain([(2, 0), (0, 2)]), Antichain([(1, 1)])
+    assert intersect(s, t) == Antichain([(1, 0), (0, 1)])
+    assert intersect(s, s) == s
+    assert intersect(Antichain([(1, 0)]), Antichain([(0, 1)])) == Antichain([(0, 0)])
+
+
+def test_intersection_counts_what_the_sharing_tree_counts():
+    # cst intersection is core.intersect over the same build and search as
+    # the sharing tree, so it returns the same antichain and counts the same
+    # comparisons and node visits
+    cst, st = get_backend("cst"), get_backend("sharingtree")
+    rng = random.Random(107)
+    visited = 0
+    for _ in range(200):
+        k = rng.randint(1, 6)
+        maxval = rng.randint(1, 8)
+        a = rand_antichain(rng, k, rng.randint(1, 30), maxval)
+        b = rand_antichain(rng, k, rng.randint(1, 30), maxval)
+        got, want = Stats(), Stats()
+        assert cst.intersect(a, b, got) == st.intersect(a, b, want) == intersect_list(a, b)
+        assert (got.comparisons, got.node_visits) == (want.comparisons, want.node_visits)
+        visited += got.node_visits
+    assert visited > 0
 
 
 def test_setops_count_simulation_checks():
     # merging the roots puts (2, .) and (1, .) side by side: one sibling check
     s = Stats()
     union_cst(build_cst(Antichain([(1, 1)])), build_cst(Antichain([(2, 2)])), s)
-    assert s.comparisons > 0
-    s = Stats()
-    intersect_cst(build_cst(Antichain([(2, 0), (0, 2)])), build_cst(Antichain([(1, 1)])), s)
     assert s.comparisons > 0
 
 
@@ -128,9 +139,6 @@ def test_empty_operand_conventions():
     assert member_cst(empty, (0, 0)) is False
     u = union_cst(empty, s)
     assert maximal_elements(u) == Antichain([(1, 1)])
-    w = intersect_cst(empty, s)
-    assert w.empty
-    assert list(iter_vectors(w)) == []
 
 
 def test_closure_correctness_randomized_boxes():
@@ -143,16 +151,11 @@ def test_closure_correctness_randomized_boxes():
         ca = build_cst(a)
         cb = build_cst(b)
         cu = union_cst(ca, cb)
-        ci = intersect_cst(ca, cb)
         assert is_simulation_minimal(cu)
-        assert is_simulation_minimal(ci)
         ul = union_list(a, b)
-        il = intersect_list(a, b)
         assert maximal_elements(cu) == ul
-        assert maximal_elements(ci) == il
         for p in itertools.product(range(maxval + 2), repeat=k):
             assert member_cst(cu, p) == brute_member(ul.vectors, p)
-            assert member_cst(ci, p) == brute_member(il.vectors, p)
 
 
 def _layer_sizes(tree):
@@ -170,17 +173,13 @@ def _layer_sizes(tree):
 
 def test_setops_share_nodes_on_pair_family():
     # the pair family's DAG at n=7 has 29 nodes (a root and two per layer)
-    # but 2^7 paths; products and merges are made once per pair of
-    # same-layer nodes, so the results stay shared instead of unfolding
-    # into a 509-node trie
+    # but 2^7 paths; merges are made once per pair of same-layer nodes, so
+    # the result stays shared instead of unfolding into a 509-node trie
     fam = pair_family(7)
     tree = build_cst(fam)
     sizes = _layer_sizes(tree)
     assert sum(sizes) == 29
     pairs = sum(n * n for n in sizes)
-    product = intersect_cst(tree, tree)
-    assert sum(_layer_sizes(product)) <= pairs
-    assert maximal_elements(product) == intersect_list(fam, fam)
     merged = union_cst(tree, tree)
     assert sum(_layer_sizes(merged)) <= pairs
     assert maximal_elements(merged) == union_list(fam, fam)
@@ -192,16 +191,14 @@ def _reachable(tree):
 
 
 def _agrees_with_reference(s, t):
-    for op, reference in ((union_cst, reference_union_cst),
-                          (intersect_cst, reference_intersect_cst)):
-        got, want = op(s, t), reference(s, t)
-        assert maximal_elements(got) == maximal_elements(want), op.__name__
-        assert is_simulation_minimal(got), op.__name__
-        assert got.node_count == _reachable(got) <= _reachable(want), op.__name__
+    got, want = union_cst(s, t), reference_union_cst(s, t)
+    assert maximal_elements(got) == maximal_elements(want)
+    assert is_simulation_minimal(got)
+    assert got.node_count == _reachable(got) <= _reachable(want)
 
 
 def test_setops_agree_with_the_recursive_reference():
-    # the layer sweeps keep the reference's maximal elements, stay
+    # the union's layer sweeps keep the reference's maximal elements, stay
     # simulation-minimal, and make no more nodes than the reference does
     rng = random.Random(101)
     for _ in range(3000):
@@ -242,13 +239,11 @@ def test_setops_and_checks_at_dimension_2000():
     top = build_cst(Antichain([(1,) * (k - 2) + (2, 2)]))
     assert simulates(s.root, top.root) and simulates(t.root, top.root)
     assert not simulates(s.root, t.root) and not simulates(t.root, s.root)
-    u, w = union_cst(s, t), intersect_cst(s, t)
+    u = union_cst(s, t)
     assert maximal_elements(u) == union_list(low, high)
-    assert maximal_elements(w) == intersect_list(low, high)
-    for tree in (s, u, w):
+    for tree in (s, u):
         assert is_simulation_minimal(tree)
     assert u.node_count == k + 3  # the shared prefix, then two branches
-    assert w.node_count == k + 1
     inside, outside = (1,) * (k - 2) + (0, 1), (1,) * (k - 2) + (1, 1)
     for name in BACKEND_NAMES:
         ops = get_backend(name)
@@ -259,9 +254,9 @@ def test_setops_and_checks_at_dimension_2000():
 
 def test_setops_at_dimension_2000_on_sets_that_branch_at_the_root():
     # two vectors per operand that differ in their first component, so the
-    # trees branch at the root: the product multiplies two whole paths per
-    # pair of root successors, and sibling checks sweep down to the last
-    # layers; no node may cost memory per layer below it
+    # trees branch at the root: the union merges two whole paths, and
+    # sibling checks sweep down to the last layers; no node may cost memory
+    # per layer below it
     k = 2000
     a = Antichain([(3,) + (1,) * (k - 3) + (2, 0), (1,) + (2,) * (k - 3) + (0, 2)])
     b = Antichain([(2,) + (1,) * (k - 3) + (0, 2), (0,) + (2,) * (k - 3) + (2, 0)])
@@ -269,14 +264,12 @@ def test_setops_at_dimension_2000_on_sets_that_branch_at_the_root():
     assert not simulates(s.root.succs[1], s.root.succs[0])
     tracemalloc.start()
     try:
-        u, w = union_cst(s, t), intersect_cst(s, t)
-        for tree in (s, t, u, w):
+        u = union_cst(s, t)
+        for tree in (s, t, u):
             assert is_simulation_minimal(tree)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
     assert maximal_elements(u) == union_list(a, b)
-    assert maximal_elements(w) == intersect_list(a, b)
     assert u.node_count <= s.node_count + t.node_count
-    assert w.node_count <= 4 * (k + 1)

@@ -6,8 +6,7 @@ pointwise, and the antichain generator maintains maximality by
 definition-level checks.  ``tree_leaves``, ``cpre_step``,
 ``reference_solve`` and ``reference_strategy`` instead reach into the k-d
 tree and the parity solver for structural tests, and ``reference_union_cst``
-and ``reference_intersect_cst`` are the covering sharing tree's graph
-operations written recursively.
+is the covering sharing tree's graph union written recursively.
 """
 
 import itertools
@@ -216,10 +215,9 @@ def rand_game(rng, nv, maxp, maxdeg):
     return ParityGame(owners, prios, succs, list(range(nv)))
 
 
-# The covering sharing tree's union and product as they were written
-# recursively, one call per node pair: the oracle for ``cst.union_cst`` and
-# ``cst.intersect_cst``, whose results must encode the same maximal
-# elements with no more nodes.
+# The covering sharing tree's union as it was written recursively, one call
+# per node pair: the oracle for ``cst.union_cst``, whose results must encode
+# the same maximal elements with no more nodes.
 
 def _sim(n: STNode, m: STNode, memo: dict) -> bool:
     # memo keys hold the node objects (hashed by identity): dropped candidate
@@ -293,60 +291,6 @@ def reference_union_cst(s, t, stats=None):
         return s
     memo: dict = {}
     root = _union_nodes(s.root, t.root, memo, {})
-    if stats is not None:
-        stats.comparisons += len(memo)
-    return STree(root, s.dim)
-
-
-def _add_succ_intersect(children: list, cand: STNode, memo: dict, unions: dict) -> None:
-    """Insertion with bidirectional checks, for product construction where
-    candidates arrive in no particular value order.
-
-    Drops the candidate if simulated by an existing sibling; unites subtrees
-    on a value collision; otherwise inserts in decreasing-value position and
-    evicts existing siblings the candidate simulates.
-    """
-    for c in children:
-        if _sim(cand, c, memo):
-            return
-    for idx, c in enumerate(children):
-        if c.value == cand.value:
-            children[idx] = _union_nodes(c, cand, memo, unions)
-            return
-    pos = 0
-    while pos < len(children) and children[pos].value > cand.value:
-        pos += 1
-    children.insert(pos, cand)
-    children[pos + 1:] = [c for c in children[pos + 1:] if not _sim(c, cand, memo)]
-
-
-def _inter_nodes(ns: STNode, nt: STNode, memo: dict, unions: dict, products: dict) -> STNode:
-    """The product of two same-layer nodes; every pair of successors yields
-    a candidate, so nodes of non-empty trees never come out empty.
-    ``products`` holds the product of every node pair done so far, so a
-    shared DAG is multiplied once per pair, not once per path."""
-    key = (ns, nt)
-    done = products.get(key)
-    if done is not None:
-        return done
-    value = ns.value if ns.layer == 0 else min(ns.value, nt.value)
-    children: list = []
-    for ss in ns.succs:
-        for ts in nt.succs:
-            _add_succ_intersect(children, _inter_nodes(ss, ts, memo, unions, products), memo, unions)
-    done = products[key] = STNode(ns.layer, value, tuple(children))
-    return done
-
-
-def reference_intersect_cst(s, t, stats=None):
-    """Product intersection; counts the simulation pairs it evaluated as
-    comparisons."""
-    if s.dim != t.dim:
-        raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
-    if s.empty or t.empty:
-        return STree(STNode(0, TOP, ()), s.dim)
-    memo: dict = {}
-    root = _inter_nodes(s.root, t.root, memo, {}, {})
     if stats is not None:
         stats.comparisons += len(memo)
     return STree(root, s.dim)
