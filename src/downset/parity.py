@@ -24,6 +24,15 @@ combined successor image as the new downset without intersecting it with
 the old one, and it keeps each backward image of a vertex's downset until
 that downset shrinks.
 
+Within one solve, each union and intersection runs on the backend at most
+once per pair of operand values.  A table that lives for the solve keeps
+each result under the operation and the two operands' ``vectors`` tuples in
+sorted order; both operations commute, so the pair is unordered.  Equal
+operands are their own union and intersection and reach neither the table
+nor the backend.  Images of different vertices are often equal, and an
+unchanged image meets the same partners again at every later refinement of
+its predecessor, so about half of a solve's operations are repeats.
+
 The module also carries a pgsolver-format parser, co-lexicographic strategy
 extraction for the even player, and an independent Zielonka-style oracle
 used by tests and the CLI's --check mode.
@@ -247,6 +256,38 @@ def _cpre_vertex(parts: Sequence[Antichain], owner: int, ops) -> Antichain:
     return combined
 
 
+class _SetopTable:
+    """A backend's union and intersection for one solve, each run at most
+    once per unordered pair of operand values (see ``solve``).
+
+    Results are kept under ``(kind, x, y)`` with ``x <= y`` the operands'
+    ``vectors``: tuples, which C hashes and compares, rather than the
+    antichains themselves.  ``calls`` counts the backend calls made.
+    """
+
+    def __init__(self, ops) -> None:
+        self._ops = ops
+        self._results: Dict[tuple, Antichain] = {}
+        self.calls = 0
+
+    def union(self, a: Antichain, b: Antichain) -> Antichain:
+        return self._combine("union", a, b)
+
+    def intersect(self, a: Antichain, b: Antichain) -> Antichain:
+        return self._combine("intersect", a, b)
+
+    def _combine(self, kind: str, a: Antichain, b: Antichain) -> Antichain:
+        x, y = a.vectors, b.vectors
+        if x == y:
+            return a
+        key = (kind, x, y) if x < y else (kind, y, x)
+        result = self._results.get(key)
+        if result is None:
+            result = self._results[key] = getattr(self._ops, kind)(a, b)
+            self.calls += 1
+        return result
+
+
 @dataclass
 class SolveResult:
     winners: List[int]            # per vertex: EVEN or ODD
@@ -255,6 +296,7 @@ class SolveResult:
     space: CounterSpace
     images: int                   # backward images computed (down_bwd calls)
     backward: List[Dict[int, Antichain]]  # per vertex v: priority p -> down_bwd(final[v], p)
+    setops: int                   # unions and intersections the backend ran
 
 
 def solve(game: ParityGame, backend: str = "list",
@@ -273,8 +315,14 @@ def solve(game: ParityGame, backend: str = "list",
     returned as ``backward``: a vertex's last refinement comes after its
     successors' last change, so at the fixpoint they hold the image of
     every successor's final downset at the priority of each predecessor.
+
+    Unions and intersections go through a table created here and dropped on
+    return: a pair of operands with equal ``vectors`` gives the first
+    operand back, and any other pair is sent to the backend once per
+    operation, keyed on the two ``vectors`` tuples in sorted order, since
+    both operations commute.  ``setops`` counts the backend calls.
     """
-    ops = get_backend(backend)
+    ops = _SetopTable(get_backend(backend))
     space = counter_space(game)
     nv = len(game)
     if order is not None and sorted(order) != list(range(nv)):
@@ -309,7 +357,7 @@ def solve(game: ParityGame, backend: str = "list",
                     queued[p] = True
                     queue.append(p)
     winners = [EVEN if _has_nonnegative(mu[v]) else ODD for v in range(nv)]
-    return SolveResult(winners, iterations, mu, space, images, cache)
+    return SolveResult(winners, iterations, mu, space, images, cache, ops.calls)
 
 
 def synthesize_even_strategy(game: ParityGame, result: SolveResult) -> Dict[int, int]:

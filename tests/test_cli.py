@@ -173,8 +173,8 @@ def test_solve_parity_stats_flag_leaves_output_unchanged(capsys, tmp_path):
     assert code == 0
     assert out == plain
     r = solve(parse_pgsolver(text))
-    assert r.images > 0
-    assert err == f"refinements={r.iterations} images={r.images}\n"
+    assert r.images > 0 and r.setops > 0
+    assert err == f"refinements={r.iterations} images={r.images} setops={r.setops}\n"
 
 
 def test_solve_parity_backends_agree(capsys, tmp_path):

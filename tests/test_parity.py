@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import downset.adaptive as adaptive
 import downset.parity as parity_mod
 
 from downset import Antichain
@@ -250,6 +251,37 @@ def test_solve_counts_and_reuses_its_images(monkeypatch):
         total_computed += len(computed)
         total_used += len(used)
     assert total_computed < total_used
+
+
+@pytest.mark.parametrize("backend", ["list", "kdtree", "sharingtree", "cst", "adaptive"])
+def test_solve_combines_each_pair_once(backend, monkeypatch):
+    # within one solve the backend never sees equal operands, nor a pair of
+    # operand values it has already combined the same way, in either order
+    ops = adaptive.BACKENDS[backend]
+    calls = []
+
+    def counted(kind):
+        run = getattr(ops, kind)
+
+        def op(a, b, stats=None):
+            calls.append((kind, a.vectors, b.vectors))
+            return run(a, b, stats)
+        return op
+
+    monkeypatch.setitem(adaptive.BACKENDS, backend, adaptive.BackendOps(
+        backend, ops.member, counted("union"), counted("intersect")))
+    rng = random.Random(101)
+    total = 0
+    for _ in range(40):
+        g = rand_game(rng, rng.randint(2, 10), 7, 3)
+        calls.clear()
+        r = solve(g, backend=backend)
+        assert all(x != y for _, x, y in calls)
+        pairs = [(kind, frozenset((x, y))) for kind, x, y in calls]
+        assert len(set(pairs)) == len(pairs)
+        assert r.setops == len(calls)
+        total += len(calls)
+    assert total > 0
 
 
 @pytest.mark.parametrize("backend", ["list", "kdtree", "sharingtree", "cst", "adaptive"])
