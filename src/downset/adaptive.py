@@ -7,11 +7,9 @@ predicate is evaluated in logarithm space with exact integer arithmetic:
 ``k * ceil(log2 k) <= floor(log2 m)`` and ``n <= 2^m``.
 
 This module also provides the uniform dispatch table used by the CLI and
-the parity solver to run any operation through a named backend: the list,
-k-d tree and sharing-tree backends share ``core.union`` and
-``core.intersect`` over their index modules; the covering sharing tree
-intersects through ``core.intersect`` over its index too, and keeps only
-its graph union.
+the parity solver to run any operation through a named backend: the k-d
+tree, sharing-tree and covering-sharing-tree backends share ``core.union``
+and ``core.intersect`` over their index modules.
 """
 
 from __future__ import annotations
@@ -96,7 +94,7 @@ BACKENDS = {
     "list": BackendOps("list", member_list, union_list, intersect_list),
     "kdtree": _over_index("kdtree", _kd),
     "sharingtree": _over_index("sharingtree", _st),
-    "cst": BackendOps("cst", partial(member, _cst), _cst.union, partial(intersect, _cst)),
+    "cst": _over_index("cst", _cst),
     "adaptive": BackendOps("adaptive", member_adaptive, union_adaptive, intersect_adaptive),
 }
 

@@ -16,12 +16,12 @@ The maximal-element reduction picks its kernel by the number of distinct
 vectors alone.  Below ``_BITSET_MIN`` = 32, as in the parity solver's
 images of 1 to 7 vectors, it runs the pairwise scan, which counts its
 scalar comparisons.  From 32 on (large meet sets of :func:`intersect`,
-parsing, ``cst.maximal_elements``) it runs a word-parallel bitset kernel
-(after Tan, Eng & Ooi, VLDB 2001): one sort and one pass per coordinate,
-O(k·m) big-int operations for m ≤ ``_BITSET_BLOCK`` = 1024 vectors, and
-blocks of that many candidates beyond, so its masks take about 1024·m
-bits.  It counts the column entries its walks visit, ``k·hi`` for a block
-ending at position ``hi``.
+parsing) it runs a word-parallel bitset kernel (after Tan, Eng & Ooi,
+VLDB 2001): one sort and one pass per coordinate, O(k·m) big-int
+operations for m ≤ ``_BITSET_BLOCK`` = 1024 vectors, and blocks of that
+many candidates beyond, so its masks take about 1024·m bits.  It counts
+the column entries its walks visit, ``k·hi`` for a block ending at
+position ``hi``.
 """
 
 from __future__ import annotations
@@ -352,10 +352,9 @@ class DownsetIndex(Protocol):
     :func:`member`: an index ``build`` from an antichain, and ``member``
     queries on it that count their work into ``stats``.
 
-    The backend modules ``kdtree``, ``sharingtree`` and (for membership and
-    intersection) ``cst`` are passed as the index themselves: the functions
-    are looked up on every call, so a wrapper installed on the module sees
-    each build and query.
+    The backend modules ``kdtree``, ``sharingtree`` and ``cst`` are passed
+    as the index themselves: the functions are looked up on every call, so
+    a wrapper installed on the module sees each build and query.
     """
 
     def build(self, ac: Antichain): ...

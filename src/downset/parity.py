@@ -401,48 +401,76 @@ def synthesize_even_strategy(game: ParityGame, result: SolveResult) -> Dict[int,
 # ---------------------------------------------------------------------------
 
 def _attract(game: ParityGame, preds, target, player: int, alive) -> set:
+    """The attractor of ``player`` to ``target`` in the subgame on ``alive``.
+
+    An opponent vertex joins once all its moves inside the subgame lead into
+    the attractor.  Its moves are counted when the attractor first reaches
+    it, so a call costs the edges around the attractor, not the size of the
+    subgame.
+    """
+    owners, succs = game.owners, game.succs
     result = set(target)
-    deg = {v: sum(1 for w in game.succs[v] if w in alive) for v in alive}
+    left: Dict[int, int] = {}  # opponent vertices reached: moves not yet into the attractor
     stack = list(target)
     while stack:
         v = stack.pop()
         for p in preds[v]:
-            if p not in alive or p in result:
+            if p in result or p not in alive:
                 continue
-            if game.owners[p] == player:
-                result.add(p)
-                stack.append(p)
-            else:
-                deg[p] -= 1
-                if deg[p] == 0:
-                    result.add(p)
-                    stack.append(p)
+            if owners[p] != player:
+                n = left.get(p)
+                if n is None:
+                    n = sum(1 for w in succs[p] if w in alive)
+                left[p] = n = n - 1
+                if n:
+                    continue
+            result.add(p)
+            stack.append(p)
     return result
 
 
 def zielonka(game: ParityGame) -> List[int]:
-    """Classic recursive attractor decomposition; winners per vertex."""
+    """Zielonka's attractor decomposition, winners per vertex.
+
+    A subgame is solved from the subgame without the attractor of its top
+    priority and, if the opponent wins some of that, from the subgame
+    without the opponent's attractor to it.  The nesting, up to one level
+    per priority, runs on an explicit stack of frames, as ``_sccs`` does, so
+    its depth is not bounded by the interpreter's stack.  A frame holds a
+    subgame, the player its top priority favours, the first subgame it
+    asked for and, once asked, the opponent's attractor.  Each answer is the
+    odd player's region; the even player's is the rest of the subgame.
+    """
     preds = game.predecessors()
-
-    def win(alive: frozenset) -> Tuple[set, set]:
-        if not alive:
-            return set(), set()
-        p = max(game.priorities[v] for v in alive)
-        player = p % 2
-        target = {v for v in alive if game.priorities[v] == p}
-        a = _attract(game, preds, target, player, alive)
-        w = win(frozenset(alive - a))
-        if not w[1 - player]:
-            full = (set(alive), set()) if player == EVEN else (set(), set(alive))
-            return full
-        b = _attract(game, preds, w[1 - player], 1 - player, alive)
-        w2 = win(frozenset(alive - b))
-        if player == EVEN:
-            return w2[0], w2[1] | b
-        return w2[0] | b, w2[1]
-
-    w0, w1 = win(frozenset(range(len(game))))
-    return [EVEN if v in w0 else ODD for v in range(len(game))]
+    prio = game.priorities
+    by_prio: Dict[int, List[int]] = {}
+    for v, p in enumerate(prio):
+        by_prio.setdefault(p, []).append(v)
+    stack: list = []
+    sub = frozenset(range(len(game)))
+    while True:
+        while sub:
+            p = max(map(prio.__getitem__, sub))
+            player = p % 2
+            a = _attract(game, preds, [v for v in by_prio[p] if v in sub], player, sub)
+            child = sub - a
+            stack.append([sub, player, child, None])
+            sub = child
+        odd = frozenset()  # the empty subgame's answer
+        while stack:
+            alive, player, child, b = stack[-1]
+            if b is None:  # the answer is the first subgame's
+                lost = odd if player == EVEN else child - odd  # the opponent's part of it
+                if lost:
+                    b = stack[-1][3] = _attract(game, preds, lost, 1 - player, alive)
+                    sub = alive - b
+                    break
+                odd = frozenset() if player == EVEN else alive
+            elif player == EVEN:  # the answer is the second subgame's
+                odd = odd | b
+            stack.pop()
+        else:
+            return [ODD if v in odd else EVEN for v in range(len(game))]
 
 
 def _sccs(vertices, edges) -> List[List[int]]:

@@ -16,10 +16,9 @@ recurses, and a query writes nothing into the nodes: a built tree is never
 changed, so any number of readers may search it at once.  Membership is
 the only query: ``core.union`` and ``core.intersect`` need no other.
 
-The covering sharing tree (``cst``) is the same layered DAG: it shares this
-module's node, build, search, iterator and DOT dump, and adds only its
-simulation-based union; its intersection is ``core.intersect`` over the
-same build and search.
+The covering sharing tree (``cst``) is this same index under a second
+name: its build and search call this module's, and its union and
+intersection are ``core.union`` and ``core.intersect`` over them.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ TOP = None  # root value
 class STNode:
     __slots__ = ("layer", "value", "succs", "uid")
 
-    def __init__(self, layer: int, value, succs, uid: int = -1):
+    def __init__(self, layer: int, value, succs, uid: int):
         self.layer = layer
         self.value = value
         self.succs = succs  # tuple, strictly decreasing by value
@@ -45,46 +44,17 @@ class STNode:
 
 
 class STree:
-    """A layered DAG plus its bookkeeping.
+    """A layered DAG plus its bookkeeping: ``node_count`` and ``edge_count``
+    are the nodes and edges reachable from the root, counted by the build."""
 
-    ``node_count`` and ``edge_count`` are the nodes and edges reachable from
-    the root.  The build passes them in; for any other tree (the results of
-    the covering union) one layer sweep counts them on first read.
-    """
+    __slots__ = ("root", "dim", "empty", "node_count", "edge_count")
 
-    __slots__ = ("root", "dim", "empty", "_counts")
-
-    def __init__(self, root: STNode, dim: int, node_count: Optional[int] = None,
-                 edge_count: Optional[int] = None):
+    def __init__(self, root: STNode, dim: int, node_count: int, edge_count: int):
         self.root = root
         self.dim = dim
         self.empty = not root.succs
-        self._counts = None if node_count is None else (node_count, edge_count)
-
-    @property
-    def node_count(self) -> int:
-        return self._counted()[0]
-
-    @property
-    def edge_count(self) -> int:
-        return self._counted()[1]
-
-    def _counted(self) -> tuple:
-        if self._counts is None:
-            seen = {self.root}
-            layer = [self.root]
-            edges = 0
-            while layer:
-                below = []
-                for node in layer:
-                    edges += len(node.succs)
-                    for s in node.succs:
-                        if s not in seen:
-                            seen.add(s)
-                            below.append(s)
-                layer = below
-            self._counts = (len(seen), edges)
-        return self._counts
+        self.node_count = node_count
+        self.edge_count = edge_count
 
 
 def _build(ac: Antichain) -> STree:
@@ -175,7 +145,7 @@ def iter_vectors(tree: STree) -> Iterator[Vector]:
 
 
 def to_dot(tree: STree) -> str:
-    """DOT dump of a layered DAG (sharing tree or covering sharing tree);
+    """DOT dump of a sharing tree (also of a ``cst`` build, the same DAG);
     nodes are labeled ``layer:value`` and numbered in depth-first preorder."""
     names: dict = {}
     stack = [tree.root]

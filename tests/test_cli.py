@@ -7,7 +7,8 @@ from downset import (Antichain, format_vector_set, intersect_list, load_vector_s
                      union_list)
 from downset import core
 from downset.cli import main
-from downset.parity import parse_pgsolver, solve
+from downset.parity import format_pgsolver, parse_pgsolver, solve
+from util import self_loops
 
 A_TEXT = "dim 2\n0 2\n2 0\n"
 B_TEXT = "dim 2\n1 1\n"
@@ -177,6 +178,19 @@ def test_solve_parity_stats_flag_leaves_output_unchanged(capsys, tmp_path):
     assert err == f"refinements={r.iterations} images={r.images} setops={r.setops}\n"
 
 
+def test_solve_parity_check_on_a_thousand_priorities_without_traceback(tmp_path):
+    # one process, as a user runs it: the oracle behind --check nests once
+    # per priority, and 1,000 levels would exceed the interpreter's stack
+    # if it recursed
+    pg = tmp_path / "g.pg"
+    pg.write_text(format_pgsolver(self_loops(1000)))
+    proc = subprocess.run([sys.executable, "-m", "downset.cli", "solve-parity", str(pg), "--check"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines() == [f"{v} even {v}" if v % 2 == 0 else f"{v} odd" for v in range(1000)]
+
+
 def test_solve_parity_backends_agree(capsys, tmp_path):
     pg = tmp_path / "g.pg"
     pg.write_text("0 3 1 0,1; 1 2 0 0,1; 2 1 1 1;")
@@ -243,9 +257,9 @@ def test_high_dimension_sharing_tree_commands_without_traceback(tmp_path):
     assert cli("intersect", pa, pb, "--backend", "sharingtree") == \
         format_vector_set(intersect_list(a, b))
 
-    # sets that differ only in their last two components: the covering
-    # sharing tree's union and product walk 998 shared layers first, and
-    # --check runs every backend, the covering one too
+    # sets that differ only in their last two components: each search of a
+    # union or intersection walks 998 shared layers first, and --check runs
+    # every backend
     c, d = Antichain([(1,) * (k - 2) + (2, 0)]), Antichain([(1,) * (k - 2) + (0, 2)])
     pc, pd = tmp_path / "c.txt", tmp_path / "d.txt"
     pc.write_text(format_vector_set(c))

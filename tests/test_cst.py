@@ -3,47 +3,22 @@ import random
 import tracemalloc
 from collections import Counter
 
-import pytest
-
-from downset import BACKEND_NAMES, Antichain, Stats, get_backend, intersect_list, union_list
-from downset.cst import (
-    build_cst,
-    is_simulation_minimal,
-    maximal_elements,
-    member_cst,
-    simulates,
-    union_cst,
-)
-from downset.sharingtree import STNode, iter_vectors
+from downset import BACKEND_NAMES, Antichain, Stats, get_backend, intersect_list, member_list, union_list
+from downset.cst import build_cst, member_cst
+from downset.sharingtree import iter_vectors
 from util import (
     brute_member,
     pair_family,
     rand_antichain,
-    reference_union_cst,
 )
 
-
-def test_simulates_leaves():
-    l1 = STNode(2, 1, ())
-    l2 = STNode(2, 2, ())
-    assert simulates(l1, l2) is True
-    assert simulates(l2, l1) is False
-    with pytest.raises(ValueError):
-        simulates(l1, STNode(1, 3, ()))
-
-
-def test_simulates_one_step():
-    a = STNode(1, 1, (STNode(2, 0, ()),))
-    b = STNode(1, 1, (STNode(2, 1, ()),))
-    assert simulates(a, b) is True
-    assert simulates(b, a) is False
+CST = get_backend("cst")
 
 
 def test_build_drops_dominated_branch():
     # the dominated vector goes when the antichain is formed
     tree = build_cst(Antichain([(1, 1), (1, 0)]))
     assert sorted(iter_vectors(tree)) == [(1, 1)]
-    assert is_simulation_minimal(tree)
 
 
 def test_build_keeps_distinct_valued_antichain():
@@ -51,7 +26,6 @@ def test_build_keeps_distinct_valued_antichain():
     a = Antichain([(0, 3), (1, 2), (2, 1), (3, 0)])
     tree = build_cst(a)
     assert sorted(iter_vectors(tree)) == list(a.vectors)
-    assert is_simulation_minimal(tree)
 
 
 def test_build_singleton_path():
@@ -72,7 +46,6 @@ def test_build_never_invents_vectors():
         assert sorted(lang) == list(a.vectors)
         assert lang <= set(vecs)
         assert len(lang) <= len(set(vecs))
-        assert is_simulation_minimal(tree)
         # closure preserved
         for u in itertools.product(range(7), repeat=k) if k <= 3 else ():
             assert member_cst(tree, u) == brute_member(vecs, u)
@@ -86,31 +59,24 @@ def test_member_examples():
 
 
 def test_union_closure_examples():
-    s = build_cst(Antichain([(2, 0)]))
-    t = build_cst(Antichain([(0, 2)]))
-    u = union_cst(s, t)
-    assert maximal_elements(u) == Antichain([(2, 0), (0, 2)])
-    assert is_simulation_minimal(u)
-    same = union_cst(s, s)
-    assert maximal_elements(same) == Antichain([(2, 0)])
-    dominated = union_cst(build_cst(Antichain([(1, 1)])), build_cst(Antichain([(2, 2)])))
-    assert maximal_elements(dominated) == Antichain([(2, 2)])
+    s, t = Antichain([(2, 0)]), Antichain([(0, 2)])
+    assert CST.union(s, t) == Antichain([(2, 0), (0, 2)])
+    assert CST.union(s, s) == s
+    assert CST.union(Antichain([(1, 1)]), Antichain([(2, 2)])) == Antichain([(2, 2)])
 
 
 def test_intersect_closure_examples():
-    # intersection goes through the index, which yields an antichain, not a tree
-    intersect = get_backend("cst").intersect
     s, t = Antichain([(2, 0), (0, 2)]), Antichain([(1, 1)])
-    assert intersect(s, t) == Antichain([(1, 0), (0, 1)])
-    assert intersect(s, s) == s
-    assert intersect(Antichain([(1, 0)]), Antichain([(0, 1)])) == Antichain([(0, 0)])
+    assert CST.intersect(s, t) == Antichain([(1, 0), (0, 1)])
+    assert CST.intersect(s, s) == s
+    assert CST.intersect(Antichain([(1, 0)]), Antichain([(0, 1)])) == Antichain([(0, 0)])
 
 
 def test_intersection_counts_what_the_sharing_tree_counts():
     # cst intersection is core.intersect over the same build and search as
     # the sharing tree, so it returns the same antichain and counts the same
     # comparisons and node visits
-    cst, st = get_backend("cst"), get_backend("sharingtree")
+    st = get_backend("sharingtree")
     rng = random.Random(107)
     visited = 0
     for _ in range(200):
@@ -119,26 +85,44 @@ def test_intersection_counts_what_the_sharing_tree_counts():
         a = rand_antichain(rng, k, rng.randint(1, 30), maxval)
         b = rand_antichain(rng, k, rng.randint(1, 30), maxval)
         got, want = Stats(), Stats()
-        assert cst.intersect(a, b, got) == st.intersect(a, b, want) == intersect_list(a, b)
+        assert CST.intersect(a, b, got) == st.intersect(a, b, want) == intersect_list(a, b)
         assert (got.comparisons, got.node_visits) == (want.comparisons, want.node_visits)
         visited += got.node_visits
     assert visited > 0
 
 
-def test_setops_count_simulation_checks():
-    # merging the roots puts (2, .) and (1, .) side by side: one sibling check
-    s = Stats()
-    union_cst(build_cst(Antichain([(1, 1)])), build_cst(Antichain([(2, 2)])), s)
-    assert s.comparisons > 0
+def test_cst_is_the_sharing_tree_index():
+    # member, union and intersect on cst run core's operations over the
+    # sharing tree's build and search: the same results and the same counts
+    # as the sharing tree, and the list oracle's results, empty operands too
+    st = get_backend("sharingtree")
+    rng = random.Random(109)
+    for k in (2, 8, 64, 256):
+        for m in (0, 1, 5, 20):
+            a = rand_antichain(rng, k, m, 4)  # empty for m=0
+            b = rand_antichain(rng, k, rng.randint(1, 20), 4)
+            for x, y in ((a, b), (b, a), (a, a)):
+                for op in ("union", "intersect"):
+                    got, want = Stats(), Stats()
+                    out = getattr(CST, op)(x, y, got)
+                    assert out == getattr(st, op)(x, y, want), (k, m, op)
+                    assert out == (union_list if op == "union" else intersect_list)(x, y), (k, m, op)
+                    assert (got.comparisons, got.node_visits) == (want.comparisons, want.node_visits)
+            queries = [tuple(rng.randint(0, 5) for _ in range(k)) for _ in range(5)]
+            for u in queries + [v[:-1] + (0,) for v in b.vectors[:3]]:
+                for s in (a, b):
+                    got, want = Stats(), Stats()
+                    assert CST.member(s, u, got) is st.member(s, u, want) is member_list(s, u)
+                    assert (got.comparisons, got.node_visits) == (want.comparisons, want.node_visits)
 
 
 def test_empty_operand_conventions():
-    empty = build_cst(Antichain((), dim=2))
-    s = build_cst(Antichain([(1, 1)]))
-    assert empty.empty
-    assert member_cst(empty, (0, 0)) is False
-    u = union_cst(empty, s)
-    assert maximal_elements(u) == Antichain([(1, 1)])
+    empty = Antichain((), dim=2)
+    s = Antichain([(1, 1)])
+    assert build_cst(empty).empty
+    assert member_cst(build_cst(empty), (0, 0)) is False
+    assert CST.union(empty, s) == CST.union(s, empty) == s
+    assert CST.intersect(empty, s) == CST.intersect(s, empty) == empty
 
 
 def test_closure_correctness_randomized_boxes():
@@ -148,14 +132,10 @@ def test_closure_correctness_randomized_boxes():
         maxval = rng.randint(1, 5)
         a = rand_antichain(rng, k, rng.randint(1, 12), maxval)
         b = rand_antichain(rng, k, rng.randint(1, 12), maxval)
-        ca = build_cst(a)
-        cb = build_cst(b)
-        cu = union_cst(ca, cb)
-        assert is_simulation_minimal(cu)
-        ul = union_list(a, b)
-        assert maximal_elements(cu) == ul
+        cu = CST.union(a, b)
+        assert cu == union_list(a, b)
         for p in itertools.product(range(maxval + 2), repeat=k):
-            assert member_cst(cu, p) == brute_member(ul.vectors, p)
+            assert CST.member(cu, p) == brute_member(a.vectors + b.vectors, p)
 
 
 def _layer_sizes(tree):
@@ -173,60 +153,13 @@ def _layer_sizes(tree):
 
 def test_setops_share_nodes_on_pair_family():
     # the pair family's DAG at n=7 has 29 nodes (a root and two per layer)
-    # but 2^7 paths; merges are made once per pair of same-layer nodes, so
-    # the result stays shared instead of unfolding into a 509-node trie
+    # but 2^7 paths; the union of the family with itself is the family, and
+    # its tree stays shared instead of unfolding into a 509-node trie
     fam = pair_family(7)
-    tree = build_cst(fam)
-    sizes = _layer_sizes(tree)
-    assert sum(sizes) == 29
-    pairs = sum(n * n for n in sizes)
-    merged = union_cst(tree, tree)
-    assert sum(_layer_sizes(merged)) <= pairs
-    assert maximal_elements(merged) == union_list(fam, fam)
-
-
-def _reachable(tree):
-    """Distinct nodes reachable from the root."""
-    return sum(_layer_sizes(tree))
-
-
-def _agrees_with_reference(s, t):
-    got, want = union_cst(s, t), reference_union_cst(s, t)
-    assert maximal_elements(got) == maximal_elements(want)
-    assert is_simulation_minimal(got)
-    assert got.node_count == _reachable(got) <= _reachable(want)
-
-
-def test_setops_agree_with_the_recursive_reference():
-    # the union's layer sweeps keep the reference's maximal elements, stay
-    # simulation-minimal, and make no more nodes than the reference does
-    rng = random.Random(101)
-    for _ in range(3000):
-        k = rng.randint(1, 6)
-        maxval = rng.randint(1, 8)
-        a, b = (Antichain([tuple(rng.randint(0, maxval) for _ in range(k))
-                           for _ in range(rng.randint(1, 40))], dim=k) for _ in "ab")
-        _agrees_with_reference(build_cst(a), build_cst(b))
-    for k in (64, 65):  # the deepest trees packed, and the shallowest swept alone
-        for _ in range(20):
-            a, b = (Antichain([tuple(rng.randint(0, 3) for _ in range(k))
-                               for _ in range(rng.randint(1, 8))], dim=k) for _ in "ab")
-            _agrees_with_reference(build_cst(a), build_cst(b))
-    fam = build_cst(pair_family(7))
-    _agrees_with_reference(fam, fam)
-    _agrees_with_reference(fam, build_cst(pair_family(7)))
-
-
-def test_setops_with_values_beyond_the_packed_field():
-    # ceilings and leads pack 15-bit values and clamp larger ones; the
-    # clamped tests must still never refute or confirm a pair wrongly
-    rng = random.Random(103)
-    for base in (32760, 10 ** 12):
-        for _ in range(100):
-            k = rng.randint(1, 5)
-            a, b = (Antichain([tuple(base + rng.randint(0, 12) for _ in range(k))
-                               for _ in range(rng.randint(1, 25))], dim=k) for _ in "ab")
-            _agrees_with_reference(build_cst(a), build_cst(b))
+    merged = CST.union(fam, fam)
+    assert merged == union_list(fam, fam) == fam
+    tree = build_cst(merged)
+    assert sum(_layer_sizes(tree)) == tree.node_count == 29
 
 
 def test_setops_and_checks_at_dimension_2000():
@@ -235,15 +168,9 @@ def test_setops_and_checks_at_dimension_2000():
     k = 2000
     low = Antichain([(1,) * (k - 2) + (2, 0)])
     high = Antichain([(1,) * (k - 2) + (0, 2)])
-    s, t = build_cst(low), build_cst(high)
-    top = build_cst(Antichain([(1,) * (k - 2) + (2, 2)]))
-    assert simulates(s.root, top.root) and simulates(t.root, top.root)
-    assert not simulates(s.root, t.root) and not simulates(t.root, s.root)
-    u = union_cst(s, t)
-    assert maximal_elements(u) == union_list(low, high)
-    for tree in (s, u):
-        assert is_simulation_minimal(tree)
-    assert u.node_count == k + 3  # the shared prefix, then two branches
+    u = CST.union(low, high)
+    assert u == union_list(low, high)
+    assert build_cst(u).node_count == k + 3  # the shared prefix, then two branches
     inside, outside = (1,) * (k - 2) + (0, 1), (1,) * (k - 2) + (1, 1)
     for name in BACKEND_NAMES:
         ops = get_backend(name)
@@ -254,22 +181,17 @@ def test_setops_and_checks_at_dimension_2000():
 
 def test_setops_at_dimension_2000_on_sets_that_branch_at_the_root():
     # two vectors per operand that differ in their first component, so the
-    # trees branch at the root: the union merges two whole paths, and
-    # sibling checks sweep down to the last layers; no node may cost memory
-    # per layer below it
+    # trees branch at the root: the searches of the union sweep whole paths
+    # down to the last layers; no node may cost memory per layer below it
     k = 2000
     a = Antichain([(3,) + (1,) * (k - 3) + (2, 0), (1,) + (2,) * (k - 3) + (0, 2)])
     b = Antichain([(2,) + (1,) * (k - 3) + (0, 2), (0,) + (2,) * (k - 3) + (2, 0)])
-    s, t = build_cst(a), build_cst(b)
-    assert not simulates(s.root.succs[1], s.root.succs[0])
     tracemalloc.start()
     try:
-        u = union_cst(s, t)
-        for tree in (s, t, u):
-            assert is_simulation_minimal(tree)
+        u = CST.union(a, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
-    assert maximal_elements(u) == union_list(a, b)
-    assert u.node_count <= s.node_count + t.node_count
+    assert u == union_list(a, b)
+    assert build_cst(u).node_count <= build_cst(a).node_count + build_cst(b).node_count

@@ -22,7 +22,7 @@ from downset.parity import (
     synthesize_even_strategy,
     zielonka,
 )
-from util import cpre_step, rand_game, reference_solve, reference_strategy
+from util import cpre_step, rand_game, reference_solve, reference_strategy, self_loops
 
 # hand-traced reference games
 G_ODD_LOOP = ParityGame([1], [1], [[0]], [0])          # odd self-loop, priority 1
@@ -173,6 +173,12 @@ def test_solve_matches_zielonka_randomized():
         assert r.winners == zielonka(g)
         strat = synthesize_even_strategy(g, r)
         assert check_even_strategy(g, r.winners, strat)
+
+
+def test_zielonka_nests_a_thousand_priorities_deep():
+    # a decomposition that recursed once per level would exceed the
+    # interpreter's stack here
+    assert zielonka(self_loops(1000)) == [EVEN if v % 2 == 0 else ODD for v in range(1000)]
 
 
 def test_fixpoint_order_independence():

@@ -29,7 +29,7 @@ def test_traced_membership_reaches_both_dag_backends():
 
 def test_traced_setops_canonicalize_on_the_canon_layer():
     # each op parses both operands; a parse that skips maxac and Antichain
-    # would leave core.canon with only cst.maximal_elements' calls
+    # would leave core.canon with fewer than two calls per op
     out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
                           "--workload", "setops", "--seed", "3", "--seconds", "1",
                           "--trace", "1", "--tiny"],

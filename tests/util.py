@@ -5,8 +5,7 @@ implementations: membership oracles enumerate, set oracles compare boxes
 pointwise, and the antichain generator maintains maximality by
 definition-level checks.  ``tree_leaves``, ``cpre_step``,
 ``reference_solve`` and ``reference_strategy`` instead reach into the k-d
-tree and the parity solver for structural tests, and ``reference_union_cst``
-is the covering sharing tree's graph union written recursively.
+tree and the parity solver for structural tests.
 """
 
 import itertools
@@ -14,7 +13,6 @@ from collections import deque
 
 from downset import Antichain, ComparisonOutcome, DimensionMismatch, get_backend
 from downset.kdtree import EmptyTree, KdLeaf
-from downset.sharingtree import TOP, STNode, STree
 from downset.core import maxac
 from downset.parity import (
     EVEN,
@@ -215,82 +213,7 @@ def rand_game(rng, nv, maxp, maxdeg):
     return ParityGame(owners, prios, succs, list(range(nv)))
 
 
-# The covering sharing tree's union as it was written recursively, one call
-# per node pair: the oracle for ``cst.union_cst``, whose results must encode
-# the same maximal elements with no more nodes.
-
-def _sim(n: STNode, m: STNode, memo: dict) -> bool:
-    # memo keys hold the node objects (hashed by identity): dropped candidate
-    # nodes may be garbage-collected during an operation, and id()-only keys
-    # would collide with recycled addresses
-    if n is m:
-        return True
-    key = (n, m)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if n.value is not TOP and n.value > m.value:
-        memo[key] = False
-        return False
-    result = True
-    for s in n.succs:
-        if not any(_sim(s, t, memo) for t in m.succs):
-            result = False
-            break
-    memo[key] = result
-    return result
-
-
-def _add_if_not_simulated(children: list, cand: STNode, memo: dict) -> None:
-    """Append unless an existing sibling simulates the candidate.
-
-    Callers append in decreasing value order, so only the
-    existing-simulates-new direction can hold.
-    """
-    for c in children:
-        if _sim(cand, c, memo):
-            return
-    children.append(cand)
-
-
-def _union_nodes(ns: STNode, nt: STNode, memo: dict, unions: dict) -> STNode:
-    """Merge two equal-valued nodes; the three cases follow the successor
-    lists in decreasing value order.  ``unions`` holds the merge of every
-    node pair done so far, so a shared DAG is merged once per pair, not
-    once per path."""
-    key = (ns, nt)
-    done = unions.get(key)
-    if done is not None:
-        return done
-    children: list = []
-    ss, ts = ns.succs, nt.succs
-    i = j = 0
-    while i < len(ss) or j < len(ts):
-        if i == len(ss) or (j < len(ts) and ss[i].value < ts[j].value):
-            _add_if_not_simulated(children, ts[j], memo)
-            j += 1
-        elif j == len(ts) or ss[i].value > ts[j].value:
-            _add_if_not_simulated(children, ss[i], memo)
-            i += 1
-        else:
-            # merged nodes face the same sibling check as copied ones
-            _add_if_not_simulated(children, _union_nodes(ss[i], ts[j], memo, unions), memo)
-            i += 1
-            j += 1
-    done = unions[key] = STNode(ns.layer, ns.value, tuple(children))
-    return done
-
-
-def reference_union_cst(s, t, stats=None):
-    """Graph union; counts the simulation pairs it evaluated as comparisons."""
-    if s.dim != t.dim:
-        raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
-    if s.empty:
-        return t
-    if t.empty:
-        return s
-    memo: dict = {}
-    root = _union_nodes(s.root, t.root, memo, {})
-    if stats is not None:
-        stats.comparisons += len(memo)
-    return STree(root, s.dim)
+def self_loops(n):
+    """n vertices, each with a self-loop and its own priority 0..n-1: the
+    attractor decomposition nests once per priority."""
+    return ParityGame([v % 2 for v in range(n)], list(range(n)), [[v] for v in range(n)], list(range(n)))
