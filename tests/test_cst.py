@@ -5,7 +5,7 @@ from collections import Counter
 
 from downset import BACKEND_NAMES, Antichain, Stats, get_backend, intersect_list, member_list, union_list
 from downset.cst import build_cst, member_cst
-from downset.sharingtree import iter_vectors
+from downset.sharingtree import iter_vectors, to_dot
 from util import (
     brute_member,
     pair_family,
@@ -30,7 +30,8 @@ def test_build_keeps_distinct_valued_antichain():
 
 def test_build_singleton_path():
     tree = build_cst(Antichain([(1, 1)]))
-    assert tree.node_count == 3
+    assert tree.node_count == 2  # the root and one chain
+    assert to_dot(tree).count("label=") == 3
     assert list(iter_vectors(tree)) == [(1, 1)]
 
 
@@ -139,7 +140,7 @@ def test_closure_correctness_randomized_boxes():
 
 
 def _layer_sizes(tree):
-    """Distinct reachable nodes per layer."""
+    """Distinct reachable nodes per layer, a chain node on its first layer."""
     layer_of = {}
     stack = [tree.root]
     while stack:
@@ -152,14 +153,16 @@ def _layer_sizes(tree):
 
 
 def test_setops_share_nodes_on_pair_family():
-    # the pair family's DAG at n=7 has 29 nodes (a root and two per layer)
-    # but 2^7 paths; the union of the family with itself is the family, and
-    # its tree stays shared instead of unfolding into a 509-node trie
+    # the pair family's DAG at n=7 has 27 nodes (a root, two per layer, and
+    # two chains for the last block; 29 drawn uncompressed) but 2^7 paths;
+    # the union of the family with itself is the family, and its tree stays
+    # shared instead of unfolding into a 509-node trie
     fam = pair_family(7)
     merged = CST.union(fam, fam)
     assert merged == union_list(fam, fam) == fam
     tree = build_cst(merged)
-    assert sum(_layer_sizes(tree)) == tree.node_count == 29
+    assert sum(_layer_sizes(tree)) == tree.node_count == 27
+    assert to_dot(tree).count("label=") == 29
 
 
 def test_setops_and_checks_at_dimension_2000():
@@ -170,7 +173,9 @@ def test_setops_and_checks_at_dimension_2000():
     high = Antichain([(1,) * (k - 2) + (0, 2)])
     u = CST.union(low, high)
     assert u == union_list(low, high)
-    assert build_cst(u).node_count == k + 3  # the shared prefix, then two branches
+    # the root, the shared prefix, then two chains; k + 3 nodes drawn uncompressed
+    assert build_cst(u).node_count == k + 1
+    assert to_dot(build_cst(u)).count("label=") == k + 3
     inside, outside = (1,) * (k - 2) + (0, 1), (1,) * (k - 2) + (1, 1)
     for name in BACKEND_NAMES:
         ops = get_backend(name)
