@@ -25,7 +25,6 @@ from .core import (
     load_vector_set,
     save_vector_set,
 )
-from .cst import build_cst
 from .sharingtree import build_sharingtree, to_dot
 
 
@@ -47,21 +46,17 @@ def _parse_vector_literal(text: str, dim: int):
 
 
 def _maybe_dump_dot(args, ac: Antichain) -> None:
-    path = getattr(args, "dump_dot", None)
+    path = args.dump_dot
     if path is None:
         return
-    if args.backend == "sharingtree":
-        text = to_dot(build_sharingtree(ac))
-    elif args.backend == "cst":
-        text = to_dot(build_cst(ac))
-    else:
+    if args.backend not in ("sharingtree", "cst"):
         raise CliError("--dump-dot requires the sharingtree or cst backend")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write(to_dot(build_sharingtree(ac)))  # cst builds the same DAG
 
 
 def _print_stats(args, stats: Stats) -> None:
-    if getattr(args, "stats", False):
+    if args.stats:
         print(f"comparisons={stats.comparisons} node_visits={stats.node_visits}", file=sys.stderr)
 
 
@@ -76,26 +71,22 @@ def cmd_member(args) -> int:
     return 0
 
 
-def cmd_setop(args, op: str) -> int:
+def cmd_setop(args) -> int:
     a = load_vector_set(args.a)
     b = load_vector_set(args.b)
     stats = Stats()
-    ops = get_backend(args.backend)
-    out = ops.union(a, b, stats) if op == "union" else ops.intersect(a, b, stats)
+    op = args.command
+    out = getattr(get_backend(args.backend), op)(a, b, stats)
     if args.check:
         for name in BACKEND_NAMES:
-            if name == args.backend:
-                continue
-            other_ops = get_backend(name)
-            other = other_ops.union(a, b) if op == "union" else other_ops.intersect(a, b)
-            if other != out:
+            if name != args.backend and getattr(get_backend(name), op)(a, b) != out:
                 raise CliError(f"backend {name} disagrees with {args.backend} on {op}")
     _maybe_dump_dot(args, out)
     if args.output:
         save_vector_set(out, args.output)
     else:
         sys.stdout.write(format_vector_set(out))
-    if getattr(args, "stats", False):
+    if args.stats:
         print(f"|a|={len(a)} |b|={len(b)} |out|={len(out)}", file=sys.stderr)
         _print_stats(args, stats)
     return 0
@@ -200,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flag(p)
     p.add_argument("--stats", action="store_true")
     p.add_argument("--dump-dot", metavar="PATH")
+    p.set_defaults(run=cmd_member)
 
     for op in ("union", "intersect"):
         p = sub.add_parser(op, help=f"{op} of two downset files")
@@ -211,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--check", action="store_true",
                        help="verify all backends agree")
         p.add_argument("--dump-dot", metavar="PATH")
+        p.set_defaults(run=cmd_setop)
 
     p = sub.add_parser("solve-parity", help="solve a pgsolver-format parity game")
     p.add_argument("game")
@@ -219,19 +212,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true")
     p.add_argument("--check", action="store_true",
                    help="cross-check winners against the attractor oracle")
+    p.set_defaults(run=cmd_solve_parity)
 
     p = sub.add_parser("count", help="count antichains of the grid [ell]^d")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--n", type=int, default=None, help="restrict to antichains of this size")
+    p.set_defaults(run=cmd_count)
 
     p = sub.add_parser("width", help="maximum antichain size of the grid")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
+    p.set_defaults(run=cmd_width)
 
     p = sub.add_parser("conjecture", help="width versus largest constant-sum layer")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
+    p.set_defaults(run=cmd_conjecture)
 
     p = sub.add_parser("gen", help="generate a random antichain file")
     p.add_argument("--k", type=int, required=True)
@@ -239,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxval", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
+    p.set_defaults(run=cmd_gen)
 
     p = sub.add_parser("bench", help="deterministic benchmark harness")
     p.add_argument("--op", choices=bench_mod.OPS, required=True)
@@ -249,39 +247,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=bench_mod.METRICS, default="comparisons")
     p.add_argument("--backends", default="list,kdtree")
     p.add_argument("--csv", metavar="PATH")
+    p.set_defaults(run=cmd_bench)
 
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "member":
-            return cmd_member(args)
-        if args.command == "union":
-            return cmd_setop(args, "union")
-        if args.command == "intersect":
-            return cmd_setop(args, "intersect")
-        if args.command == "solve-parity":
-            return cmd_solve_parity(args)
-        if args.command == "count":
-            return cmd_count(args)
-        if args.command == "width":
-            return cmd_width(args)
-        if args.command == "conjecture":
-            return cmd_conjecture(args)
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (CliError, DimensionMismatch, VectorSetFormatError,
             parity_mod.ParityParseError, comb.GridTooLarge,
             bench_mod.InfeasibleBench, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

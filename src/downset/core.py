@@ -64,7 +64,8 @@ class Stats:
 
     ``comparisons`` counts scalar comparisons between vector components,
     and for a bitset reduction the column entries its walks visit,
-    ``k·hi`` per block ``[lo, hi)`` (see :func:`_max_of`);
+    ``k·hi`` per block ``[lo, hi)`` (see :func:`_max_of`).  A dominance test
+    counts as the one-way scan of :func:`member_list` does, in every backend;
     ``node_visits`` counts tree nodes touched during queries.
     """
 
@@ -157,25 +158,22 @@ def _max_of_pairwise(uniq: list, stats: Optional[Stats] = None) -> list:
     A vector is kept unless one of the already-kept vectors dominates it.
     A dominator is always lexicographically larger, so it was processed
     earlier; dominated dominators are themselves covered by a kept vector
-    by transitivity.  The scalar comparisons are counted into ``stats``.
+    by transitivity.  Each test is the one-way scan of :func:`member_list`,
+    counted into ``stats`` as there.
     """
     kept: list = []
     comps = 0
+    k = len(uniq[0]) if uniq else 0
     for v in uniq:
-        dominated = False
         for c in kept:
-            n = 0
-            below = True
-            for a, b in zip(v, c):
-                n += 1
-                if a > b:
-                    below = False
-                    break
-            comps += n
-            if below:
-                dominated = True
+            j = 0
+            while j < k and v[j] <= c[j]:
+                j += 1
+            if j == k:
+                comps += k
                 break
-        if not dominated:
+            comps += j + 1
+        else:
             kept.append(v)
     if stats is not None:
         stats.comparisons += comps
@@ -311,7 +309,9 @@ def maxac(vectors: Iterable[Vector], dim: Optional[int] = None) -> Antichain:
 def member_list(ac: Antichain, u: Vector, stats: Optional[Stats] = None) -> bool:
     """Membership of ``u`` in the downset: does some member dominate ``u``?
 
-    Linear scan; at most ``k + 1`` scalar comparisons per member.
+    Linear scan by the one-way test ``while j < k and u[j] <= v[j]``: ``j + 1``
+    scalar comparisons when ``u`` exceeds ``v`` at component ``j``, ``k`` when
+    ``v`` dominates ``u``.
     """
     u = tuple(u)
     if len(u) != ac.dim:
@@ -320,28 +320,14 @@ def member_list(ac: Antichain, u: Vector, stats: Optional[Stats] = None) -> bool
     k = ac.dim
     found = False
     for v in ac.vectors:
-        # inline one-way comparison: scan to first difference, then one direction
-        i = 0
-        while i < k:
-            comps += 1
-            if u[i] != v[i]:
-                break
-            i += 1
-        else:
-            found = True  # u == v
-            break
-        comps += 1  # direction check
-        if u[i] > v[i]:
-            continue  # v cannot dominate u
-        ok = True
-        for j in range(i + 1, k):
-            comps += 1
-            if u[j] > v[j]:
-                ok = False
-                break
-        if ok:
+        j = 0
+        while j < k and u[j] <= v[j]:
+            j += 1
+        if j == k:
+            comps += k
             found = True
             break
+        comps += j + 1
     if stats is not None:
         stats.comparisons += comps
     return found

@@ -26,8 +26,8 @@ and a counter of coordinates where the bound is still below the query; the
 counter hitting zero certifies that every vector in the region dominates
 the query, in constant time per descent.  Left branches whose region cannot
 contain a dominator are pruned by comparing the split value against the
-query coordinate.  Leaves are compared in place with the counting of
-``core.compare_counted``, so a query allocates nothing beyond its state.
+query coordinate.  A leaf is tested in place by the one-way scan of
+``core.member_list``, counted as there, so a query allocates nothing more.
 Membership is the tree's only query: ``core.union`` and ``core.intersect``
 need no other.
 """
@@ -176,26 +176,16 @@ def _search(node, st: _Search) -> bool:
     st.visits += 1
     u = st.u
     if type(node) is KdLeaf:
-        # core.compare_counted inlined, with its count: k for equal vectors,
-        # else the scan up to the first coordinate against the direction of
-        # the first difference, plus the direction check
+        # the one-way scan of core.member_list, with its count
         v = node.vec
         k = st.k
-        if u == v:
+        j = 0
+        while j < k and u[j] <= v[j]:
+            j += 1
+        if j == k:
             st.comps += k
             return True
-        if u < v:  # lexicographic: the first difference is an increase
-            for j in range(k):
-                if u[j] > v[j]:
-                    st.comps += j + 2
-                    return False
-            st.comps += k + 1
-            return True
-        for j in range(k):
-            if u[j] < v[j]:
-                st.comps += j + 2
-                return False
-        st.comps += k + 1
+        st.comps += j + 1
         return False
     lb = st.lb
     i = node.depth % st.k

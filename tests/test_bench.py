@@ -27,6 +27,17 @@ def test_membership_rows_deterministic():
     assert format_csv(r1) == format_csv(r2)
 
 
+def test_list_counts_are_pinned():
+    # comparisons of the list backend on the seeded rows the k-d pin uses
+    # (k=6, t=10 and 40): each dominance test counts as the one-way scan
+    expected = {"membership": (339, 4038), "union": (197, 2707),
+                "intersection": (822, 5827)}
+    for op, values in expected.items():
+        rows = run_bench(BenchSpec(op=op, sizes=(10, 40), k=6, seed=3,
+                                   backends=("list",), metric="comparisons"))
+        assert tuple(r.value for r in rows) == values, op
+
+
 def test_membership_labels_verified_by_harness():
     # the run itself asserts every label on every backend
     rows = run_membership_bench(small_spec(backends=("list", "kdtree", "sharingtree", "cst")))

@@ -42,6 +42,16 @@ def compare(u, v):
     return ComparisonOutcome.EQUAL
 
 
+def scan_count(u, v):
+    """Does ``v`` dominate ``u``, and what does the one-way scan pay to say
+    so?  ``(False, j + 1)`` for the first ``j`` with ``u[j] > v[j]``, else
+    ``(True, k)``: the oracle for every counted dominance test."""
+    for j, (a, b) in enumerate(zip(u, v)):
+        if a > b:
+            return False, j + 1
+    return True, len(u)
+
+
 def box_points(k, top):
     """All points of [0..top]^k."""
     return itertools.product(range(top + 1), repeat=k)
