@@ -26,7 +26,10 @@ and a counter of coordinates where the bound is still below the query; the
 counter hitting zero certifies that every vector in the region dominates
 the query, in constant time per descent.  Left branches whose region cannot
 contain a dominator are pruned by comparing the split value against the
-query coordinate.  A leaf is tested in place by the one-way scan of
+query coordinate.  The search tries the right child first and returns at
+the first dominator it finds, so a member query pays for the path to that
+dominator and the branches tried before it; a left branch after a hit is
+neither tested nor split.  A leaf is tested in place by the one-way scan of
 ``core.member_list``, counted as there, so a query allocates nothing more.
 Membership is the tree's only query: ``core.union`` and ``core.intersect``
 need no other.
@@ -209,17 +212,22 @@ def _search(node, st: _Search) -> bool:
     right = node._right
     if type(right) is list:  # first descent: split the pending child
         right = node._right = _split(right, node.depth + 1)
-    r_right = _search(right, st)
+    found = _search(right, st)
     lb[i] = old
     st.c = c
+    if found:
+        # the first dominator answers the query, so a member query pays for
+        # the path to it and the branches tried before; the left branch
+        # here is neither tested nor split
+        return True
     st.comps += 1
     if ui < mu or (ui == mu and node.left_allows_equal):
         # the left region can still contain a dominator of u
         left = node._left
         if type(left) is list:
             left = node._left = _split(left, node.depth + 1)
-        return _search(left, st) or r_right
-    return r_right
+        return _search(left, st)
+    return False
 
 
 def tree_dim(tree) -> Optional[int]:

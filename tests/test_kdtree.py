@@ -276,6 +276,9 @@ def test_intersect_collapses_duplicate_meets():
 
 
 def test_adversarial_visit_scaling_small():
+    # the non-member search visits Theta(m^(1-1/k)) nodes; the special
+    # member sits at the rightmost leaf, which the right-first search
+    # reaches on one root-to-leaf path and then stops
     rng = random.Random(8)
     for k in (2, 3, 4):
         for m in (2 ** k, 2 ** (2 * k)):
@@ -286,7 +289,20 @@ def test_adversarial_visit_scaling_small():
                 s = Stats()
                 query = tuple([0] * (k - 1) + [1])
                 assert member_kdtree(tree, query, s) is special
-                assert bound / 4 <= s.node_visits <= 4 * k * bound
+                if special:
+                    assert s.node_visits <= tree_height(tree) + 1
+                else:
+                    assert bound / 4 <= s.node_visits <= 4 * k * bound
+
+
+def test_member_search_stops_at_the_first_dominator():
+    # the right leaf (2, 0, 1) dominates the query, so the search neither
+    # tests nor splits the pending left child (0, 2, 1)
+    tree = build_kdtree(Antichain([(2, 0, 1), (0, 2, 1)]))
+    s = Stats()
+    assert member_kdtree(tree, (1, 0, 1), s) is True
+    assert (s.comparisons, s.node_visits) == (6, 2)
+    assert type(tree._left) is list
 
 
 def test_best_case_large_query_skips_left_branches():
@@ -304,12 +320,12 @@ def test_kdtree_counts_are_pinned():
     # change to the build or the search must leave the tree and these
     # counts as they are
     expected = {
-        ("membership", "comparisons"): (891, 7367),
-        ("membership", "node_visits"): (232, 2097),
-        ("union", "comparisons"): (386, 3336),
-        ("union", "node_visits"): (106, 971),
-        ("intersection", "comparisons"): (1370, 9171),
-        ("intersection", "node_visits"): (229, 2017),
+        ("membership", "comparisons"): (856, 6835),
+        ("membership", "node_visits"): (227, 1961),
+        ("union", "comparisons"): (342, 3187),
+        ("union", "node_visits"): (97, 928),
+        ("intersection", "comparisons"): (1306, 8857),
+        ("intersection", "node_visits"): (217, 1955),
     }
     for (op, metric), values in expected.items():
         rows = run_bench(BenchSpec(op=op, sizes=(10, 40), k=6, seed=3,
