@@ -2,13 +2,12 @@
 
 from .core import (
     Antichain,
-    ComparisonOutcome,
     DimensionMismatch,
     Stats,
     VectorSetFormatError,
-    compare_counted,
     format_vector_set,
     intersect_list,
+    leq,
     load_vector_set,
     meet,
     member_list,
@@ -22,15 +21,14 @@ __all__ = [
     "Antichain",
     "BACKEND_NAMES",
     "BackendChoice",
-    "ComparisonOutcome",
     "DimensionMismatch",
     "Stats",
     "VectorSetFormatError",
     "choose_backend",
-    "compare_counted",
     "format_vector_set",
     "get_backend",
     "intersect_list",
+    "leq",
     "load_vector_set",
     "meet",
     "member_list",
@@ -39,4 +37,4 @@ __all__ = [
     "union_list",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .adaptive import get_backend
-from .core import (INCOMPARABLE, Antichain, Stats, compare_counted, intersect_list, member_list,
-                   union_list)
+from .core import Antichain, Stats, intersect_list, leq, member_list, union_list
 from .combinatorics import random_antichain
 
 OPS = ("membership", "union", "intersection")
@@ -82,7 +81,7 @@ def _overlapping_antichain(base: Antichain, t: int, maxval: int, rng: random.Ran
     while draws < budget and len(current) < t:
         draws += 1
         v = tuple(rng.randint(0, maxval) for _ in range(k))
-        if all(compare_counted(v, w) is INCOMPARABLE for w in current):
+        if not any(leq(v, w) or leq(w, v) for w in current):
             current.append(v)
     if len(current) < t:
         raise InfeasibleBench(f"could not grow overlap antichain to size {t}")

@@ -36,13 +36,12 @@ def _parse_vector_literal(text: str, dim: int):
     parts = text.split()
     if len(parts) != dim:
         raise CliError(f"vector literal has {len(parts)} components, set has dimension {dim}")
-    try:
-        vec = tuple(int(p) for p in parts)
-    except ValueError:
-        raise CliError(f"bad vector literal {text!r}") from None
-    if any(x < 0 for x in vec):
-        raise CliError(f"vector literal has negative components: {text!r}")
-    return vec
+    digits = "".join(parts)
+    if not (digits.isascii() and digits.isdigit()):
+        if any(p[0] == "-" and p[1:].isdigit() for p in parts):
+            raise CliError(f"vector literal has negative components: {text!r}")
+        raise CliError(f"bad vector literal {text!r}")
+    return tuple(map(int, parts))
 
 
 def _maybe_dump_dot(args, ac: Antichain) -> None:

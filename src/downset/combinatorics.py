@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Optional
 
-from .core import EQUAL, GREATER, INCOMPARABLE, LESS, Antichain, compare_counted
+from .core import Antichain, leq
 
 GRID_POINT_LIMIT = 2 ** 20
 
@@ -69,7 +69,7 @@ def enumerate_antichains(d: int, ell: int) -> Iterator[tuple]:
         yield tuple(chosen)
         for idx in range(start, len(points)):
             p = points[idx]
-            if all(compare_counted(p, c) is INCOMPARABLE for c in chosen):
+            if not any(leq(p, c) or leq(c, p) for c in chosen):
                 chosen.append(p)
                 yield from extend(idx + 1)
                 chosen.pop()
@@ -119,7 +119,7 @@ def width(d: int, ell: int) -> int:
         for i, p in enumerate(cands):
             if size + len(cands) - i <= best:
                 return
-            grow([q for q in cands[i + 1:] if compare_counted(p, q) is INCOMPARABLE], size + 1)
+            grow([q for q in cands[i + 1:] if not (leq(p, q) or leq(q, p))], size + 1)
 
     grow(points, 0)
     return best
@@ -185,9 +185,9 @@ def random_antichain(k: int, target_m: int, maxval: int, seed) -> GeneratedAntic
     while draws < budget and len(current) < target_m:
         draws += 1
         v = tuple(rng.randint(0, maxval) for _ in range(k))
-        if any(compare_counted(v, w) in (LESS, EQUAL) for w in current):
+        if any(leq(v, w) for w in current):
             continue
-        current = [w for w in current if compare_counted(v, w) is not GREATER]
+        current = [w for w in current if not leq(w, v)]
         current.append(v)
     ac = Antichain._from_maximal(k, sorted(current)) if current else Antichain((), dim=k)
     return GeneratedAntichain(ac, len(ac) >= target_m, draws)

@@ -1,15 +1,16 @@
 """Vectors, the product order, and canonical antichains.
 
 A downward-closed set of natural vectors is represented by the antichain of
-its maximal elements.  This module provides the componentwise order, meets,
-the maximal-element reduction, and union and intersection written once over
-a backend's index (:class:`DownsetIndex`), which needs only ``build`` and
-``member``.  The list backend, whose index is the antichain itself, doubles
+its maximal elements.  This module provides the componentwise order
+(:func:`leq`), meets, the maximal-element reduction, and union and
+intersection written once over a backend's index (:class:`DownsetIndex`),
+which needs only ``build`` and ``member``.  The list backend, whose index is the antichain itself, doubles
 as the correctness oracle for every other backend in the package.
 
 Vectors are plain tuples of non-negative ints.  Antichains are immutable
-values.  Every operation counts its work into the ``stats`` its caller
-passes, and ``stats=None`` means nothing is counted.  Counting never
+values.  Every operation on antichains counts its work into the ``stats``
+its caller passes, and ``stats=None`` means nothing is counted; the
+vector helpers :func:`leq` and :func:`meet` count nothing.  Counting never
 changes which algorithm runs.
 
 The maximal-element reduction picks its kernel by the number of distinct
@@ -26,7 +27,6 @@ position ``hi``.
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_left
 from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
@@ -46,26 +46,15 @@ class VectorSetFormatError(ValueError):
     """Malformed vector-set file; message carries the offending line number."""
 
 
-class ComparisonOutcome(enum.Enum):
-    LESS = "less"
-    GREATER = "greater"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-
-LESS = ComparisonOutcome.LESS
-GREATER = ComparisonOutcome.GREATER
-EQUAL = ComparisonOutcome.EQUAL
-INCOMPARABLE = ComparisonOutcome.INCOMPARABLE
-
-
 class Stats:
     """Mutable operation counters shared by all backends.
 
     ``comparisons`` counts scalar comparisons between vector components,
     and for a bitset reduction the column entries its walks visit,
-    ``k·hi`` per block ``[lo, hi)`` (see :func:`_max_of`).  A dominance test
-    counts as the one-way scan of :func:`member_list` does, in every backend;
+    ``k·hi`` per block ``[lo, hi)`` (see :func:`_max_of`).  Every counted
+    dominance test, in every backend, is the one-way scan of
+    :func:`member_list` and counts as it does: ``j + 1`` when the queried
+    vector exceeds the other at component ``j``, ``k`` when it is dominated.
     ``node_visits`` counts tree nodes touched during queries.
     """
 
@@ -74,10 +63,6 @@ class Stats:
     def __init__(self, comparisons: int = 0, node_visits: int = 0):
         self.comparisons = comparisons
         self.node_visits = node_visits
-
-    def merge(self, comparisons: int = 0, node_visits: int = 0) -> None:
-        self.comparisons += comparisons
-        self.node_visits += node_visits
 
     def __repr__(self) -> str:
         return f"Stats(comparisons={self.comparisons}, node_visits={self.node_visits})"
@@ -88,44 +73,15 @@ def _check_dims(u: Sequence[int], v: Sequence[int]) -> None:
         raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
 
 
-def compare_counted(u: Vector, v: Vector, stats: Optional[Stats] = None) -> ComparisonOutcome:
-    """Comparison using at most ``k + 1`` scalar comparisons.
-
-    Scans for the first differing component, then checks the remaining
-    components in the one direction that is still possible.  The scalar
-    comparisons are counted into ``stats``.
-    """
+def leq(u: Vector, v: Vector) -> bool:
+    """Is ``u <= v`` componentwise?  The one-way scan of :func:`member_list`,
+    uncounted."""
     _check_dims(u, v)
     k = len(u)
-    comps = 0
-    i = 0
-    while i < k:
-        comps += 1
-        if u[i] != v[i]:
-            break
-        i += 1
-    else:
-        if stats is not None:
-            stats.comparisons += comps
-        return EQUAL
-    comps += 1
-    if u[i] < v[i]:
-        outcome = LESS
-        for j in range(i + 1, k):
-            comps += 1
-            if u[j] > v[j]:
-                outcome = INCOMPARABLE
-                break
-    else:
-        outcome = GREATER
-        for j in range(i + 1, k):
-            comps += 1
-            if u[j] < v[j]:
-                outcome = INCOMPARABLE
-                break
-    if stats is not None:
-        stats.comparisons += comps
-    return outcome
+    j = 0
+    while j < k and u[j] <= v[j]:
+        j += 1
+    return j == k
 
 
 def meet(u: Vector, v: Vector) -> Vector:
@@ -439,7 +395,7 @@ def intersect_list(a: Antichain, b: Antichain, stats: Optional[Stats] = None) ->
 #
 #   # comment lines and blank lines are ignored
 #   dim <k>
-#   <k space-separated naturals per line>
+#   <k space-separated naturals per line, in ASCII decimal digits>
 #
 # Input may contain duplicates and dominated vectors; loading canonicalizes.
 # The writer emits `dim <k>` and then the members sorted lexicographically
@@ -457,10 +413,9 @@ def parse_vector_set(text: str) -> Antichain:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "dim":
                 raise VectorSetFormatError(f"line {lineno}: expected 'dim <k>', got {line!r}")
-            try:
-                dim = int(parts[1])
-            except ValueError:
-                raise VectorSetFormatError(f"line {lineno}: bad dimension {parts[1]!r}") from None
+            if not (parts[1].isascii() and parts[1].isdigit()):
+                raise VectorSetFormatError(f"line {lineno}: bad dimension {parts[1]!r}")
+            dim = int(parts[1])
             if dim < 1:
                 raise VectorSetFormatError(f"line {lineno}: dimension must be at least 1")
             continue
@@ -468,13 +423,12 @@ def parse_vector_set(text: str) -> Antichain:
         if len(parts) != dim:
             raise VectorSetFormatError(
                 f"line {lineno}: expected {dim} components, got {len(parts)}")
-        try:
-            vec = tuple(int(p) for p in parts)
-        except ValueError:
-            raise VectorSetFormatError(f"line {lineno}: non-integer component in {line!r}") from None
-        if any(x < 0 for x in vec):
-            raise VectorSetFormatError(f"line {lineno}: negative component in {line!r}")
-        vectors.append(vec)
+        digits = "".join(parts)
+        if not (digits.isascii() and digits.isdigit()):
+            negative = any(p[0] == "-" and p[1:].isdigit() for p in parts)
+            kind = "negative" if negative else "non-integer"
+            raise VectorSetFormatError(f"line {lineno}: {kind} component in {line!r}")
+        vectors.append(tuple(map(int, parts)))
     if dim is None:
         raise VectorSetFormatError("missing 'dim <k>' header line")
     return maxac(vectors, dim=dim)

@@ -250,7 +250,8 @@ def member_kdtree(tree, u: Vector, stats: Optional[Stats] = None) -> bool:
     st = _Search(u)
     result = _search(tree, st)
     if stats is not None:
-        stats.merge(comparisons=st.comps, node_visits=st.visits)
+        stats.comparisons += st.comps
+        stats.node_visits += st.visits
     return result
 
 

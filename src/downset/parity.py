@@ -97,7 +97,9 @@ def parse_pgsolver(text: str) -> ParityGame:
     Optional header ``parity N;`` then one record per statement:
     ``id priority owner successors[ name];`` with comma-separated successor
     ids and owner 0 for the even player.  Statements end with a semicolon;
-    several may share a line.
+    several may share a line.  Every number is ASCII decimal digits:
+    ``isdigit`` alone accepts ``²``, which ``int`` rejects, and ``int``
+    alone accepts ``+1``, ``1_0`` and ``٣``.
     """
     records: Dict[int, Tuple[int, int, List[int], Optional[str]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -112,34 +114,30 @@ def parse_pgsolver(text: str) -> ParityGame:
                 continue
             if stmt.startswith("parity"):
                 parts = stmt.split()
-                if len(parts) != 2 or not parts[1].isdigit():
+                if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                     raise ParityParseError(f"line {lineno}: malformed header {stmt!r}")
                 continue
             parts = stmt.split(None, 3)
             if len(parts) < 4:
                 raise ParityParseError(
                     f"line {lineno}: record {stmt!r} needs id, priority, owner and successors")
-            try:
-                vid, prio, owner = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParityParseError(f"line {lineno}: malformed record {stmt!r}") from None
-            rest = parts[3].split(None, 1)
+            vid, prio, owner, more = parts
+            if not (vid.isascii() and vid.isdigit() and prio.isascii() and prio.isdigit()
+                    and owner.isascii() and owner.isdigit()):
+                raise ParityParseError(f"line {lineno}: malformed record {stmt!r}")
+            vid, prio, owner = int(vid), int(prio), int(owner)
+            rest = more.split(None, 1)
             succ_field = rest[0]
             name = rest[1].strip().strip('"') if len(rest) > 1 else None
             if owner not in (0, 1):
                 raise ParityParseError(f"line {lineno}: owner must be 0 or 1, got {owner}")
-            if prio < 0:
-                raise ParityParseError(f"line {lineno}: negative priority")
             if vid in records:
                 raise ParityParseError(f"line {lineno}: duplicate vertex id {vid}")
             succ_ids: List[int] = []
             for tok in succ_field.split(","):
-                tok = tok.strip()
-                if not tok.isdigit():
+                if not (tok.isascii() and tok.isdigit()):
                     raise ParityParseError(f"line {lineno}: bad successor entry {tok!r}")
                 succ_ids.append(int(tok))
-            if not succ_ids:
-                raise ParityParseError(f"line {lineno}: vertex {vid} has no successors")
             records[vid] = (prio, owner, succ_ids, name)
     if not records:
         raise ParityParseError("no vertex records found")

@@ -140,12 +140,14 @@ def _search(tree: STree, u: Vector, stats: Optional[Stats]) -> bool:
                 j += 1
             else:
                 if stats is not None:
-                    stats.merge(comparisons=comps + len(tail), node_visits=visits)
+                    stats.comparisons += comps + len(tail)
+                    stats.node_visits += visits
                 return True
             comps += j - i + 1
         reached = following
     if stats is not None:
-        stats.merge(comparisons=comps, node_visits=visits)
+        stats.comparisons += comps
+        stats.node_visits += visits
     return bool(reached)  # chain nodes of the last layer, whose tails are empty
 
 

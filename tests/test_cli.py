@@ -44,6 +44,19 @@ def test_member_dimension_mismatch_exit_1(capsys, set_files):
     assert "error" in err
 
 
+@pytest.mark.parametrize("literal,fragment", [
+    ("1_0 +3", "bad vector literal"),
+    ("1 \u0663", "bad vector literal"),
+    ("1 \u00b2", "bad vector literal"),
+    ("1 -1", "negative"),
+])
+def test_member_literal_ascii_digits_only(capsys, set_files, literal, fragment):
+    a, _ = set_files
+    code, out, err = run_main(capsys, ["member", a, literal])
+    assert code == 1 and out == ""
+    assert fragment in err
+
+
 def test_member_stats_flag(capsys, set_files):
     a, _ = set_files
     code, out, err = run_main(capsys, ["member", a, "1 0", "--stats"])
@@ -150,6 +163,8 @@ def test_gen_deterministic_bytes(capsys, tmp_path):
                                        "--seed", "5", "-o", p])
         assert code == 0
     assert p1.read_bytes() == p2.read_bytes()
+    # the generator's output is pinned, not only repeatable
+    assert p1.read_bytes() == b"dim 3\n1 9 3\n3 6 8\n8 0 7\n9 4 5\n"
     ac = load_vector_set(p1)
     assert ac.dim == 3
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from downset import ComparisonOutcome
 from downset.combinatorics import (
     GridTooLarge,
     check_middle_layer_conjecture,
@@ -18,7 +17,7 @@ from downset.combinatorics import (
     random_antichain,
     width,
 )
-from util import compare
+from util import incomparable
 
 
 def test_count_2d_examples():
@@ -42,7 +41,7 @@ def test_enumeration_is_exact_and_duplicate_free():
         assert a not in seen
         seen.add(a)
         for u, v in itertools.combinations(a, 2):
-            assert compare(u, v) is ComparisonOutcome.INCOMPARABLE
+            assert incomparable(u, v)
     assert len(seen) == 6
     assert () in seen
     assert ((0, 1), (1, 0)) in seen
@@ -94,7 +93,7 @@ def test_layers_are_antichains():
         for s in range((ell - 1) * d + 1):
             layer = [p for p in grid_points(d, ell) if sum(p) == s]
             for u, v in itertools.combinations(layer, 2):
-                assert compare(u, v) is ComparisonOutcome.INCOMPARABLE
+                assert incomparable(u, v)
 
 
 def test_middle_layer_reports():
@@ -123,7 +122,7 @@ def test_random_antichain_determinism_and_invariants():
         g = random_antichain(k, rng.randint(1, 12), rng.randint(1, 12), seed=rng.random())
         ac = g.antichain
         for u, v in itertools.combinations(ac.vectors, 2):
-            assert compare(u, v) is ComparisonOutcome.INCOMPARABLE
+            assert incomparable(u, v)
 
 
 def test_random_antichain_impossible_target_warns():

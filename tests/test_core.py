@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from downset import (
     Antichain,
-    ComparisonOutcome,
     DimensionMismatch,
     Stats,
     VectorSetFormatError,
-    compare_counted,
     format_vector_set,
     intersect_list,
+    leq,
     meet,
     member_list,
     parse_vector_set,
@@ -25,12 +24,7 @@ from downset import (
 import downset
 from downset import core, get_backend, kdtree, sharingtree
 from downset.core import maxac
-from util import box_points, brute_downset, brute_member, compare, rand_antichain, scan_count
-
-LESS = ComparisonOutcome.LESS
-GREATER = ComparisonOutcome.GREATER
-EQUAL = ComparisonOutcome.EQUAL
-INCOMPARABLE = ComparisonOutcome.INCOMPARABLE
+from util import box_points, brute_downset, brute_member, incomparable, rand_antichain, scan_count
 
 vectors_st = st.integers(1, 5).flatmap(
     lambda k: st.tuples(*(st.integers(0, 6) for _ in range(k))))
@@ -57,34 +51,23 @@ def shared_pairs(rng, count, k_hi=4, m_hi=8, w_hi=5):
 
 
 def test_compare_examples():
-    assert compare((1, 2), (1, 3)) is LESS
-    assert compare((2, 1), (1, 2)) is INCOMPARABLE
-    assert compare((0, 0), (0, 0)) is EQUAL
-    assert compare((1, 3), (1, 2)) is GREATER
-
-
-def test_compare_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        compare((1, 2), (1, 2, 3))
-    with pytest.raises(DimensionMismatch):
-        compare_counted((1,), (1, 2))
-
-
-def test_compare_counted_outcomes_and_budget():
-    s = Stats()
-    assert compare_counted((3, 0, 0), (1, 5, 5), s) is INCOMPARABLE
-    assert s.comparisons <= 4  # k + 1 for k = 3
-    assert compare_counted((2, 2), (2, 2)) is EQUAL
-    assert compare_counted((1, 1, 1), (2, 2, 2)) is LESS
+    assert leq((1, 2), (1, 3)) and not leq((1, 3), (1, 2))
+    assert leq((0, 0), (0, 0))
+    assert not leq((2, 1), (1, 2)) and not leq((1, 2), (2, 1))
+    assert incomparable((2, 1), (1, 2))
+    assert not incomparable((1, 2), (1, 3)) and not incomparable((0, 0), (0, 0))
 
 
 @given(vectors_st, st.data())
 @settings(max_examples=200, deadline=None)
-def test_compare_counted_matches_compare(u, data):
+def test_leq_matches_definition(u, data):
     v = data.draw(st.tuples(*(st.integers(0, 6) for _ in range(len(u)))))
-    s = Stats()
-    assert compare_counted(u, v, s) is compare(u, v)
-    assert s.comparisons <= len(u) + 1
+    assert leq(u, v) == all(a <= b for a, b in zip(u, v))
+
+
+def test_leq_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        leq((1,), (1, 2))
 
 
 def test_meet_examples():
@@ -110,7 +93,7 @@ def test_maxac_preserves_closure(vs):
     # pairwise incomparable and same downset over the bounding box
     for i, u in enumerate(ac.vectors):
         for v in ac.vectors[i + 1:]:
-            assert compare(u, v) is INCOMPARABLE
+            assert incomparable(u, v)
     top = max(max(v) for v in vs)
     assert brute_downset(vs, top) == brute_downset(ac.vectors, top)
 
@@ -285,7 +268,7 @@ def test_set_ops_match_pointwise_semantics():
             # the union relies on, and must keep, pairwise incomparable members
             for x in u.vectors:
                 for y in u.vectors:
-                    assert x == y or compare(x, y) is INCOMPARABLE, (x, y)
+                    assert x == y or incomparable(x, y), (x, y)
             for p in box_points(a.dim, top):
                 assert member_list(u, p) == (p in da or p in db)
         for p in box_points(a.dim, top):
@@ -365,6 +348,10 @@ def test_antichain_construction_canonicalizes():
     # the unvalidated reduction is not exported; Antichain(...) is the constructor
     assert not hasattr(downset, "maxac")
     assert "maxac" not in downset.__all__
+    # the four-way comparator is gone; leq is the one order test
+    for name in ("compare_counted", "ComparisonOutcome"):
+        assert not hasattr(downset, name) and not hasattr(core, name)
+        assert name not in downset.__all__
 
 
 def test_antichain_contains_members_only():
@@ -417,6 +404,11 @@ def test_vector_set_parser_canonicalizes_and_ignores_comments():
     ("dim 2\n1 -1\n", "negative"),
     ("", "missing"),
     ("dim 0\n", "at least 1"),
+    ("dim 1_0\n", "bad dimension"),
+    ("dim 2\n1_0 3\n", "non-integer"),
+    ("dim 2\n1 \u0663\n", "non-integer"),
+    ("dim 2\n+1 3\n", "non-integer"),
+    ("dim 2\n1 \u00b2\n", "non-integer"),
 ])
 def test_vector_set_parser_errors(text, fragment):
     with pytest.raises(VectorSetFormatError) as exc:

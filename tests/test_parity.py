@@ -57,6 +57,10 @@ def test_parse_examples():
     ("0 1 0 0; 0 2 1 0;", "duplicate"),
     ("", "no vertex records"),
     ("0 1 0 x;", "bad successor"),
+    ("0 1 0 0,\u00b2;", "line 1: bad successor"),
+    ("parity \u00b2;\n0 1 0 0;", "line 1: malformed header"),
+    ("0 1_0 0 0;", "line 1: malformed record"),
+    ("0 +1 0 0;", "line 1: malformed record"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParityParseError) as exc:

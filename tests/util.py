@@ -2,16 +2,16 @@
 
 The oracles here are deliberately independent of the backend
 implementations: membership oracles enumerate, set oracles compare boxes
-pointwise, and the antichain generator maintains maximality by
-definition-level checks.  ``tree_leaves``, ``cpre_step``,
-``reference_solve`` and ``reference_strategy`` instead reach into the k-d
-tree and the parity solver for structural tests.
+pointwise, and the antichain generator and :func:`incomparable` check the
+order by definition, one component pair at a time.  ``tree_leaves``,
+``cpre_step``, ``reference_solve`` and ``reference_strategy`` instead reach
+into the k-d tree and the parity solver for structural tests.
 """
 
 import itertools
 from collections import deque
 
-from downset import Antichain, ComparisonOutcome, DimensionMismatch, get_backend
+from downset import Antichain, get_backend
 from downset.kdtree import EmptyTree, KdLeaf
 from downset.core import maxac
 from downset.parity import (
@@ -26,20 +26,10 @@ from downset.parity import (
 )
 
 
-def compare(u, v):
-    """Product-order comparison by definition: the oracle for
-    ``compare_counted``."""
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    less = any(a < b for a, b in zip(u, v))
-    greater = any(a > b for a, b in zip(u, v))
-    if less and greater:
-        return ComparisonOutcome.INCOMPARABLE
-    if less:
-        return ComparisonOutcome.LESS
-    if greater:
-        return ComparisonOutcome.GREATER
-    return ComparisonOutcome.EQUAL
+def incomparable(u, v):
+    """Neither vector is componentwise below the other, by definition: the
+    oracle for the antichain property."""
+    return not (all(a <= b for a, b in zip(u, v)) or all(b <= a for a, b in zip(u, v)))
 
 
 def scan_count(u, v):
