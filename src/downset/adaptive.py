@@ -9,7 +9,8 @@ predicate is evaluated in logarithm space with exact integer arithmetic:
 This module also provides the uniform dispatch table used by the CLI and
 the parity solver to run any operation through a named backend: the k-d
 tree, sharing-tree and covering-sharing-tree backends share ``core.union``
-and ``core.intersect`` over their index modules.
+and ``core.intersect`` over their index modules, which their ``BackendOps``
+carry as ``index``.
 """
 
 from __future__ import annotations
@@ -79,15 +80,21 @@ def intersect_adaptive(a: Antichain, b: Antichain, stats: Optional[Stats] = None
 
 @dataclass(frozen=True)
 class BackendOps:
+    """A backend's operations.  ``index`` is the index module the
+    operations run over, or ``None`` for ``list`` (nothing to build) and
+    ``adaptive`` (which picks its index per call); it is never callable."""
+
     name: str
     member: object  # (Antichain, Vector, Stats|None) -> bool
     union: object   # (Antichain, Antichain, Stats|None) -> Antichain
     intersect: object
+    index: object = None
 
 
 def _over_index(name: str, index) -> BackendOps:
-    """Set operations written once in ``core`` over a backend's index module."""
-    return BackendOps(name, partial(member, index), partial(union, index), partial(intersect, index))
+    """Set operations written once in ``core`` over a backend's index."""
+    return BackendOps(name, partial(member, index), partial(union, index), partial(intersect, index),
+                      index)
 
 
 BACKENDS = {

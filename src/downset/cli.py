@@ -44,6 +44,22 @@ def _parse_vector_literal(text: str, dim: int):
     return tuple(map(int, parts))
 
 
+def _natural(text: str) -> int:
+    """An integer option's value: ASCII decimal digits, as every parser of
+    the package reads numbers (``int`` alone takes ``+3``, ``1_0`` and ``٣``)."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII decimal digits, got {text!r}")
+    return int(text)
+
+
+def _sizes(text: str) -> list:
+    """``--sizes``: comma-separated naturals, blank entries skipped."""
+    sizes = [_natural(tok.strip()) for tok in text.split(",") if tok.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError("no sizes given")
+    return sizes
+
+
 def _maybe_dump_dot(args, ac: Antichain) -> None:
     path = args.dump_dot
     if path is None:
@@ -151,16 +167,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = []
-    for tok in args.sizes.split(","):
-        tok = tok.strip()
-        if tok:
-            sizes.append(int(tok))
-    if not sizes:
-        raise CliError("no sizes given")
     spec = bench_mod.BenchSpec(
         op=args.op,
-        sizes=sizes,
+        sizes=args.sizes,
         k=args.k,
         maxval=args.maxval,
         seed=args.seed,
@@ -214,35 +223,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_solve_parity)
 
     p = sub.add_parser("count", help="count antichains of the grid [ell]^d")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--n", type=int, default=None, help="restrict to antichains of this size")
+    p.add_argument("--dim", type=_natural, required=True)
+    p.add_argument("--ell", type=_natural, required=True)
+    p.add_argument("--n", type=_natural, default=None, help="restrict to antichains of this size")
     p.set_defaults(run=cmd_count)
 
     p = sub.add_parser("width", help="maximum antichain size of the grid")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--dim", type=_natural, required=True)
+    p.add_argument("--ell", type=_natural, required=True)
     p.set_defaults(run=cmd_width)
 
     p = sub.add_parser("conjecture", help="width versus largest constant-sum layer")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--dim", type=_natural, required=True)
+    p.add_argument("--ell", type=_natural, required=True)
     p.set_defaults(run=cmd_conjecture)
 
     p = sub.add_parser("gen", help="generate a random antichain file")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--maxval", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--k", type=_natural, required=True)
+    p.add_argument("--m", type=_natural, required=True)
+    p.add_argument("--maxval", type=_natural, required=True)
+    p.add_argument("--seed", type=_natural, required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(run=cmd_gen)
 
     p = sub.add_parser("bench", help="deterministic benchmark harness")
     p.add_argument("--op", choices=bench_mod.OPS, required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated t values")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--maxval", type=int, default=None)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--sizes", type=_sizes, required=True, help="comma-separated t values")
+    p.add_argument("--k", type=_natural, required=True)
+    p.add_argument("--maxval", type=_natural, default=None)
+    p.add_argument("--seed", type=_natural, required=True)
     p.add_argument("--metric", choices=bench_mod.METRICS, default="comparisons")
     p.add_argument("--backends", default="list,kdtree")
     p.add_argument("--csv", metavar="PATH")

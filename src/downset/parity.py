@@ -31,7 +31,12 @@ sorted order; both operations commute, so the pair is unordered.  Equal
 operands are their own union and intersection and reach neither the table
 nor the backend.  Images of different vertices are often equal, and an
 unchanged image meets the same partners again at every later refinement of
-its predecessor, so about half of a solve's operations are repeats.
+its predecessor, so about half of a solve's operations are repeats.  On the
+k-d tree and sharing-tree backends, whose operations build an index of each
+operand, a solve also builds each operand value's index once
+(``core.BuildOnce``) and queries it for every later operation that value
+takes part in; without it, more than half of a solve's builds repeat one
+it already made.
 
 The module also carries a pgsolver-format parser, co-lexicographic strategy
 extraction for the even player, and an independent Zielonka-style oracle
@@ -44,8 +49,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .adaptive import get_backend
-from .core import Antichain, maxac
+from .adaptive import _over_index, get_backend
+from .core import Antichain, BuildOnce, maxac
 
 EVEN = 0
 ODD = 1
@@ -318,9 +323,16 @@ def solve(game: ParityGame, backend: str = "list",
     return: a pair of operands with equal ``vectors`` gives the first
     operand back, and any other pair is sent to the backend once per
     operation, keyed on the two ``vectors`` tuples in sorted order, since
-    both operations commute.  ``setops`` counts the backend calls.
+    both operations commute.  ``setops`` counts the backend calls.  A
+    backend whose operations run over an index module (``ops.index``) gets
+    them over a ``core.BuildOnce`` of that module, also made here and
+    dropped on return, so each operand value's index is built once per
+    solve; results and per-query counts are those of fresh builds.
     """
-    ops = _SetopTable(get_backend(backend))
+    ops = get_backend(backend)
+    if ops.index is not None:
+        ops = _over_index(ops.name, BuildOnce(ops.index))
+    ops = _SetopTable(ops)
     space = counter_space(game)
     nv = len(game)
     if order is not None and sorted(order) != list(range(nv)):

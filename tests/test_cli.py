@@ -57,6 +57,33 @@ def test_member_literal_ascii_digits_only(capsys, set_files, literal, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["bench", "--op", "union", "--sizes", "1_0", "--k", "3", "--seed", "1"], "--sizes"),
+    (["bench", "--op", "union", "--sizes", "4,٣", "--k", "3", "--seed", "1"], "--sizes"),
+    (["bench", "--op", "union", "--sizes", "x", "--k", "3", "--seed", "1"], "--sizes"),
+    (["bench", "--op", "union", "--sizes", " , ", "--k", "3", "--seed", "1"], "--sizes"),
+    (["bench", "--op", "union", "--sizes", "4", "--k", "3", "--seed", "1", "--maxval", "1e3"],
+     "--maxval"),
+    (["gen", "--k", "+3", "--m", "4", "--maxval", "9", "--seed", "5", "-o", "g.txt"], "--k"),
+    (["gen", "--k", "3", "--m", "4", "--maxval", "9", "--seed", "٣", "-o", "g.txt"], "--seed"),
+    (["gen", "--k", "3", "--m", "-4", "--maxval", "9", "--seed", "5", "-o", "g.txt"], "--m"),
+    (["count", "--dim", "2", "--ell", "²"], "--ell"),
+    (["count", "--dim", "2", "--ell", "2", "--n", "1_0"], "--n"),
+    (["width", "--dim", " 2", "--ell", "2"], "--dim"),
+    (["conjecture", "--dim", "2", "--ell", "two"], "--ell"),
+])
+def test_integer_options_take_ascii_digits_only(capsys, tmp_path, monkeypatch, argv, option):
+    # a bad integer is a usage error that names its option, and nothing runs
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {option}:" in out.err and "Traceback" not in out.err
+    assert not (tmp_path / "g.txt").exists()
+
+
 def test_member_stats_flag(capsys, set_files):
     a, _ = set_files
     code, out, err = run_main(capsys, ["member", a, "1 0", "--stats"])

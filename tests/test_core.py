@@ -307,6 +307,43 @@ def test_union_queries_only_unshared_members(inner):
     assert shared > 0
 
 
+@pytest.mark.parametrize("inner", [core.ListIndex, kdtree, sharingtree],
+                         ids=["list", "kdtree", "sharingtree"])
+def test_build_once_shares_builds_of_equal_values(inner):
+    a = Antichain([(2, 0, 1), (0, 2, 1)])
+    counting = _CountingIndex(inner)
+    once = core.BuildOnce(counting)
+    first = once.build(a)
+    assert once.build(Antichain(list(a.vectors))) is first
+    assert counting.builds == 1
+    # empty antichains of different dimensions are different values
+    once.build(Antichain([], dim=2))
+    once.build(Antichain([], dim=3))
+    assert counting.builds == 3
+    # a new object builds again: nothing is kept between them
+    core.BuildOnce(counting).build(a)
+    assert counting.builds == 4
+    assert once.member(first, (1, 0, 1)) and not once.member(first, (1, 1, 1))
+
+
+@pytest.mark.parametrize("inner", [core.ListIndex, kdtree, sharingtree],
+                         ids=["list", "kdtree", "sharingtree"])
+def test_build_once_keeps_results_and_counts(inner):
+    # union and intersect count the same over reused indexes as over fresh
+    # ones; members queried first leave the reused k-d trees partly split
+    rng = random.Random(37)
+    once = core.BuildOnce(inner)
+    for a, b in list(shared_pairs(rng, 15)) + list(small_antichains(rng, 30)):
+        for u in a.vectors[::3]:
+            assert core.member(once, a, u)
+        for op in (core.union, core.intersect):
+            want = op(inner, a, b)
+            for x, y in ((a, b), (b, a)):
+                fresh, reused = Stats(), Stats()
+                assert op(once, x, y, reused) == op(inner, x, y, fresh) == want
+                assert (reused.comparisons, reused.node_visits) == (fresh.comparisons, fresh.node_visits)
+
+
 def test_set_ops_algebra():
     rng = random.Random(23)
     for a, b in small_antichains(rng, 40):

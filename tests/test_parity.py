@@ -294,6 +294,34 @@ def test_solve_combines_each_pair_once(backend, monkeypatch):
     assert total > 0
 
 
+@pytest.mark.parametrize("backend", ["kdtree", "sharingtree", "cst"])
+def test_solve_builds_each_operand_value_once(backend, monkeypatch):
+    # a tree backend's index is built at most once per operand value in one
+    # solve, and the solve returns what the list backend returns
+    module = adaptive.BACKENDS[backend].index
+    build = module.build
+    built = []
+
+    def counted(ac):
+        built.append(ac.vectors)
+        return build(ac)
+
+    monkeypatch.setattr(module, "build", counted)
+    rng = random.Random(103)
+    total = 0
+    for _ in range(40):
+        g = rand_game(rng, rng.randint(2, 10), 7, 3)
+        built.clear()
+        r = solve(g, backend=backend)
+        assert len(set(built)) == len(built)
+        total += len(built)
+        ref = solve(g, backend="list")
+        assert (r.winners, r.final, r.iterations, r.images, r.setops) == \
+            (ref.winners, ref.final, ref.iterations, ref.images, ref.setops)
+        assert synthesize_even_strategy(g, r) == synthesize_even_strategy(g, ref)
+    assert total > 0
+
+
 @pytest.mark.parametrize("backend", ["list", "kdtree", "sharingtree", "cst", "adaptive"])
 def test_strategy_reads_the_images_the_solve_kept(backend, monkeypatch):
     # at the fixpoint every successor's cache holds its final image at the
