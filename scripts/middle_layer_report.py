@@ -2,8 +2,7 @@
 """Sweep small grids and compare the width with the largest constant-sum
 layer, printing one line per (d, ell) pair.
 
-The sweep stays exact: width comes from branch-and-bound seeded with the
-best layer, so run time grows quickly with ell**d.
+The sweep stays exact: width and layer sizes are closed forms.
 """
 
 import argparse

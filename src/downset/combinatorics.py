@@ -7,10 +7,11 @@ with a strictly decreasing one, which gives the closed forms
 antichain included).  Higher dimensions are handled by explicit enumeration
 with dominance pruning, guarded by a grid-size limit.
 
-The width of the grid (maximum antichain cardinality) is computed by branch
-and bound seeded with the best constant-sum layer; vectors of equal
-component sum are automatically pairwise incomparable, so every layer is an
-antichain and the largest layer is a lower bound.
+The width of the grid (maximum antichain cardinality) is the size of its
+middle constant-sum layer.  Vectors of equal component sum are pairwise
+incomparable, so every layer is an antichain; de Bruijn, Tengbergen and
+Kruyswijk (1951) proved that no antichain of a product of chains is larger
+than the middle layer.
 """
 
 from __future__ import annotations
@@ -85,44 +86,24 @@ def count_antichains(d: int, ell: int, n: Optional[int] = None) -> int:
 
 
 def layer_size(d: int, ell: int, s: int) -> int:
-    """Number of vectors in [ell]^d with component sum exactly ``s``."""
+    """Number of vectors in [ell]^d with component sum exactly ``s``.
+
+    Inclusion-exclusion over the j components forced to ell or more.
+    """
     if d < 1 or ell < 1:
         raise ValueError("need d >= 1 and ell >= 1")
     if s < 0 or s > (ell - 1) * d:
         return 0
-    counts = [1] + [0] * s
-    for _ in range(d):
-        new = [0] * (s + 1)
-        for total in range(s + 1):
-            if counts[total]:
-                for x in range(min(ell - 1, s - total) + 1):
-                    new[total + x] += counts[total]
-        counts = new
-    return counts[s]
+    return sum((-1) ** j * comb(d, j) * comb(s - j * ell + d - 1, d - 1)
+               for j in range(s // ell + 1))
 
 
 def width(d: int, ell: int) -> int:
-    """Maximum antichain cardinality in [ell]^d.
-
-    Branch and bound over lexicographically ordered points, seeded with the
-    largest constant-sum layer; a branch dies once the chosen points plus
-    all remaining candidates cannot beat the best antichain found.
-    """
+    """Maximum antichain cardinality in [ell]^d: the size of the middle
+    layer, sum floor((ell-1)*d/2), by the theorem of de Bruijn, Tengbergen
+    and Kruyswijk ("On the set of divisors of a number", 1951)."""
     _check_grid(d, ell)
-    best = max(layer_size(d, ell, s) for s in range((ell - 1) * d + 1))
-    points = grid_points(d, ell)
-
-    def grow(cands: list, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        for i, p in enumerate(cands):
-            if size + len(cands) - i <= best:
-                return
-            grow([q for q in cands[i + 1:] if not (leq(p, q) or leq(q, p))], size + 1)
-
-    grow(points, 0)
-    return best
+    return layer_size(d, ell, (ell - 1) * d // 2)
 
 
 @dataclass(frozen=True)
@@ -189,5 +170,5 @@ def random_antichain(k: int, target_m: int, maxval: int, seed) -> GeneratedAntic
             continue
         current = [w for w in current if not leq(w, v)]
         current.append(v)
-    ac = Antichain._from_maximal(k, sorted(current)) if current else Antichain((), dim=k)
+    ac = Antichain._from_maximal(k, sorted(current))
     return GeneratedAntichain(ac, len(ac) >= target_m, draws)

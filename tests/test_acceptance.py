@@ -13,8 +13,8 @@ from math import comb
 from downset import get_backend, member_list, union_list, intersect_list
 from downset.bench import BenchSpec, run_bench, run_membership_bench
 from downset.combinatorics import (
-    check_middle_layer_conjecture,
     count_antichains,
+    enumerate_antichains,
     random_antichain,
     width,
 )
@@ -91,15 +91,15 @@ def test_criterion_2_counting_exactness():
 
 
 def test_criterion_3_width_facts():
-    """Grid widths match the closed form in 2-d; the largest constant-sum
-    layer realizes the width for all d <= 3, ell <= 4.  Exact."""
+    """Grid widths match the closed form in 2-d; the middle-layer width
+    equals the largest enumerated antichain for all d <= 3, ell <= 4.  Exact."""
     for ell in range(1, 6):
         assert width(2, ell) == ell, f"width(2,{ell})"
     for d in range(1, 4):
         for ell in range(1, 5):
-            report = check_middle_layer_conjecture(d, ell)
-            assert report.equal, f"width vs layer mismatch at d={d}, ell={ell}"
-    _report(3, "width facts", "width(2,l)=l and middle-layer equality d<=3, l<=4")
+            largest = max(len(a) for a in enumerate_antichains(d, ell))
+            assert width(d, ell) == largest, f"width vs enumeration mismatch at d={d}, ell={ell}"
+    _report(3, "width facts", "width(2,l)=l and width = largest enumerated antichain d<=3, l<=4")
 
 
 def test_criterion_4_kdtree_balance():

@@ -183,6 +183,26 @@ def test_count_width_conjecture(capsys):
     assert code == 0 and "equal=true" in out
 
 
+def test_width_and_conjecture_answer_large_grids_quickly():
+    # one process per command with a 10 s timeout: width is a closed form, and
+    # a search over the antichains of these grids would not finish in time
+    def cli(*argv):
+        proc = subprocess.run([sys.executable, "-m", "downset.cli", *map(str, argv)],
+                              capture_output=True, text=True, timeout=10)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    for d, ell, expected in [(3, 5, 19), (2, 40, 40), (8, 2, 70), (20, 2, 184756)]:
+        assert cli("width", "--dim", d, "--ell", ell) == (0, f"{expected}\n", "")
+    code, out, _ = cli("conjecture", "--dim", 3, "--ell", 5)
+    assert code == 0
+    lines = out.splitlines()
+    assert "width=19" in lines and "equal=true" in lines
+    assert "max_layer_size=19 at sums [6]" in lines
+    code, out, err = cli("width", "--dim", 21, "--ell", 2)
+    assert (code, out) == (1, "")
+    assert err == "error: grid [2]^21 has 2097152 points, limit is 1048576\n"
+
+
 def test_gen_deterministic_bytes(capsys, tmp_path):
     p1, p2 = tmp_path / "g1.txt", tmp_path / "g2.txt"
     for p in (p1, p2):
