@@ -45,6 +45,10 @@ class BenchSpec:
             raise ValueError(f"op must be one of {OPS}")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
+        if not self.backends:
+            raise ValueError("backends must name at least one backend")
+        for name in self.backends:
+            get_backend(name)  # a ValueError naming an unknown backend
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ position", which guarantees balanced splits even with repeated values.  The
 median vector goes to the right subtree, so the right child holds the
 ceil(p/2) largest entries of the split coordinate and the left child the
 rest.  Both children keep the input's position order, the median last.
+A leaf is its vector tuple itself, and the empty tree is ``None``.
 
 The tree is split lazily: ``build_kdtree`` splits only the root, and a
 child stays a pending vector list until a search first descends into it
@@ -43,15 +44,9 @@ from typing import Optional
 from .core import Antichain, DimensionMismatch, Stats, Vector
 
 
-class KdLeaf:
-    __slots__ = ("vec",)
-
-    def __init__(self, vec: Vector):
-        self.vec = vec
-
-
 class KdSplit:
     """Internal node: ``value`` is the split coordinate's median value.
+    A leaf is its vector, the tuple itself.
 
     ``left_allows_equal`` records whether the left subtree received vectors
     whose split coordinate equals the median (possible only with repeated
@@ -87,24 +82,12 @@ class KdSplit:
         return right
 
 
-class EmptyTree:
-    """Sentinel for the empty antichain; every query on it is negative."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "EMPTY_TREE"
-
-
-EMPTY_TREE = EmptyTree()
-
-
 def _split(vectors: list, depth: int):
-    """One node over ``vectors``: a leaf, or a split whose children are
-    left pending."""
+    """One node over ``vectors``: a leaf (the one vector), or a split whose
+    children are left pending."""
     p = len(vectors)
     if p == 1:
-        return KdLeaf(vectors[0])
+        return vectors[0]
     i = depth % len(vectors[0])
     col = [v[i] for v in vectors]
     s = sorted(col)
@@ -137,25 +120,20 @@ def build_kdtree(source):
 
     Only the root is split here; every other node is split when first
     reached.  Raw collections may contain duplicates and comparable
-    vectors; the leaves always reproduce the input exactly.
+    vectors; the leaves always reproduce the input exactly.  The empty
+    tree is ``None``.
     """
     if isinstance(source, Antichain):
         vectors = source.vectors
     else:
         vectors = [tuple(v) for v in source]
-        if not vectors:
-            return EMPTY_TREE
-        k = len(vectors[0])
-        for v in vectors:
-            if len(v) != k:
-                raise DimensionMismatch("mixed vector lengths")
-    if not vectors:
-        return EMPTY_TREE
-    return _split(vectors, 0)
+        if any(len(v) != len(vectors[0]) for v in vectors):
+            raise DimensionMismatch("mixed vector lengths")
+    return _split(vectors, 0) if vectors else None
 
 
 def tree_height(tree) -> int:
-    if isinstance(tree, (EmptyTree, KdLeaf)):
+    if type(tree) is not KdSplit:
         return 0
     return 1 + max(tree_height(tree.left), tree_height(tree.right))
 
@@ -178,9 +156,9 @@ class _Search:
 def _search(node, st: _Search) -> bool:
     st.visits += 1
     u = st.u
-    if type(node) is KdLeaf:
+    if type(node) is tuple:
         # the one-way scan of core.member_list, with its count
-        v = node.vec
+        v = node
         k = st.k
         j = 0
         while j < k and u[j] <= v[j]:
@@ -231,18 +209,18 @@ def _search(node, st: _Search) -> bool:
 
 
 def tree_dim(tree) -> Optional[int]:
-    """Vector length stored in the tree, or None for the empty sentinel."""
-    if isinstance(tree, EmptyTree):
-        return None
+    """Vector length stored in the tree, or None for the empty tree."""
     node = tree
     while type(node) is KdSplit:
         node = node._left  # read without splitting
-    return len(node.vec) if type(node) is KdLeaf else len(node[0])
+    if node is None:
+        return None
+    return len(node) if type(node) is tuple else len(node[0])
 
 
 def member_kdtree(tree, u: Vector, stats: Optional[Stats] = None) -> bool:
     """True iff some leaf vector dominates ``u``."""
-    if isinstance(tree, EmptyTree):
+    if tree is None:
         return False
     u = tuple(u)
     if len(u) != tree_dim(tree):

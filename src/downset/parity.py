@@ -265,13 +265,13 @@ class _SetopTable:
 
     Results are kept under ``(kind, x, y)`` with ``x <= y`` the operands'
     ``vectors``: tuples, which C hashes and compares, rather than the
-    antichains themselves.  ``calls`` counts the backend calls made.
+    antichains themselves.  Each backend call stores one new result, so
+    ``len(_results)`` counts the calls made.
     """
 
     def __init__(self, ops) -> None:
         self._ops = ops
         self._results: Dict[tuple, Antichain] = {}
-        self.calls = 0
 
     def union(self, a: Antichain, b: Antichain) -> Antichain:
         return self._combine("union", a, b)
@@ -287,7 +287,6 @@ class _SetopTable:
         result = self._results.get(key)
         if result is None:
             result = self._results[key] = getattr(self._ops, kind)(a, b)
-            self.calls += 1
         return result
 
 
@@ -323,11 +322,11 @@ def solve(game: ParityGame, backend: str = "list",
     return: a pair of operands with equal ``vectors`` gives the first
     operand back, and any other pair is sent to the backend once per
     operation, keyed on the two ``vectors`` tuples in sorted order, since
-    both operations commute.  ``setops`` counts the backend calls.  A
-    backend whose operations run over an index module (``ops.index``) gets
-    them over a ``core.BuildOnce`` of that module, also made here and
-    dropped on return, so each operand value's index is built once per
-    solve; results and per-query counts are those of fresh builds.
+    both operations commute.  ``setops`` counts the backend calls, one per
+    stored result.  A backend whose operations run over an index module
+    (``ops.index``) gets them over a ``core.BuildOnce`` of that module, also
+    made here and dropped on return, so each operand value's index is built
+    once per solve; results and per-query counts are those of fresh builds.
     """
     ops = get_backend(backend)
     if ops.index is not None:
@@ -367,7 +366,7 @@ def solve(game: ParityGame, backend: str = "list",
                     queued[p] = True
                     queue.append(p)
     winners = [EVEN if _has_nonnegative(mu[v]) else ODD for v in range(nv)]
-    return SolveResult(winners, iterations, mu, space, images, cache, ops.calls)
+    return SolveResult(winners, iterations, mu, space, images, cache, len(ops._results))
 
 
 def synthesize_even_strategy(game: ParityGame, result: SolveResult) -> Dict[int, int]:

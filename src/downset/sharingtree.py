@@ -35,30 +35,31 @@ TOP = None  # root value
 
 
 class STNode:
-    __slots__ = ("layer", "value", "succs", "tail", "uid")
+    """A branch node (``succs``) or a chain node (``tail``), built once per distinct subtree."""
 
-    def __init__(self, layer: int, value, succs, tail, uid: int):
+    __slots__ = ("layer", "value", "succs", "tail")
+
+    def __init__(self, layer: int, value, succs, tail):
         self.layer = layer
         self.value = value
         self.succs = succs  # tuple, strictly decreasing by value; () for a chain
         self.tail = tail  # a chain's values below its layer; None for a branch
-        self.uid = uid
 
     def __repr__(self) -> str:
-        return f"STNode(layer={self.layer}, value={self.value}, tail={self.tail}, uid={self.uid})"
+        return f"STNode(layer={self.layer}, value={self.value}, tail={self.tail})"
 
 
 class STree:
     """A layered DAG plus its bookkeeping, counted by the build: ``node_count``
     is its branch and chain nodes, root included (a chain counts once, however
-    long its tail), and ``edge_count`` the successor edges of its branch nodes."""
+    long its tail), and ``edge_count`` the successor edges of its branch nodes;
+    the empty set's root has no successors."""
 
-    __slots__ = ("root", "dim", "empty", "node_count", "edge_count")
+    __slots__ = ("root", "dim", "node_count", "edge_count")
 
     def __init__(self, root: STNode, dim: int, node_count: int, edge_count: int):
         self.root = root
         self.dim = dim
-        self.empty = not root.succs
         self.node_count = node_count
         self.edge_count = edge_count
 
@@ -89,7 +90,7 @@ def _build(ac: Antichain) -> STree:
         key = (c, v[c - 1:])
         node = nodes.get(key)
         if node is None:
-            node = nodes[key] = STNode(c, v[c - 1], (), v[c:], len(nodes))
+            node = nodes[key] = STNode(c, v[c - 1], (), v[c:])
         for j in range(c - 1, pn, -1):
             children = pending[j]
             children.append(node)
@@ -98,11 +99,11 @@ def _build(ac: Antichain) -> STree:
             key = (j, v[j - 1], succs)
             node = nodes.get(key)
             if node is None:
-                node = nodes[key] = STNode(j, v[j - 1], succs, None, len(nodes))
+                node = nodes[key] = STNode(j, v[j - 1], succs, None)
                 edge_count += len(succs)
         pending[pn].append(node)
         pp = pn
-    root = STNode(0, TOP, tuple(pending[0]), None, len(nodes))
+    root = STNode(0, TOP, tuple(pending[0]), None)
     return STree(root, dim, len(nodes) + 1, edge_count + len(root.succs))
 
 
@@ -185,7 +186,7 @@ def to_dot(tree: STree) -> str:
             succs, word = (), (node.value,) + node.tail
             for layer in range(tree.dim, node.layer - 1, -1):
                 key = (layer, word[layer - node.layer], succs)
-                succs = (cons.setdefault(key, STNode(*key, None, -1)),)
+                succs = (cons.setdefault(key, STNode(*key, None)),)
             cons[node] = succs[0]
         return cons.get(node, node)
 

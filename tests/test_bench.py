@@ -92,3 +92,13 @@ def test_bad_spec_rejected():
         BenchSpec(op="subtract", sizes=(1,), k=2)
     with pytest.raises(ValueError):
         BenchSpec(op="union", sizes=(1,), k=2, metric="joules")
+
+
+def test_backends_checked_before_any_instance():
+    # k=2 cannot hold an antichain of size 4 in [0..8]^2, so an unchecked
+    # name would surface as the generator's InfeasibleBench instead
+    with pytest.raises(ValueError, match="at least one backend"):
+        BenchSpec(op="union", sizes=(4,), k=2, backends=())
+    with pytest.raises(ValueError, match="unknown backend 'nope'") as info:
+        BenchSpec(op="union", sizes=(4,), k=2, backends=("list", "nope"))
+    assert not isinstance(info.value, InfeasibleBench)

@@ -120,7 +120,7 @@ def test_cst_is_the_sharing_tree_index():
 def test_empty_operand_conventions():
     empty = Antichain((), dim=2)
     s = Antichain([(1, 1)])
-    assert build_cst(empty).empty
+    assert not build_cst(empty).root.succs
     assert member_cst(build_cst(empty), (0, 0)) is False
     assert CST.union(empty, s) == CST.union(s, empty) == s
     assert CST.intersect(empty, s) == CST.intersect(s, empty) == empty

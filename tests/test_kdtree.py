@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from downset import Antichain, DimensionMismatch, Stats, get_backend, member_list, union_list, intersect_list
 from downset.bench import BenchSpec, run_bench
 from downset.kdtree import (
-    EMPTY_TREE,
-    KdLeaf,
     KdSplit,
     build_kdtree,
     member_kdtree,
@@ -45,15 +43,15 @@ def test_build_two_vector_example():
     tree = build_kdtree(Antichain([(1, 2), (2, 1)]))
     assert isinstance(tree, KdSplit)
     assert tree.value == 2
-    assert tree.left.vec == (1, 2)
-    assert tree.right.vec == (2, 1)
+    assert tree.left == (1, 2)
+    assert tree.right == (2, 1)
 
 
 def test_build_singleton_and_empty():
     tree = build_kdtree(Antichain([(5,)]))
-    assert isinstance(tree, KdLeaf) and tree.vec == (5,)
-    assert build_kdtree(Antichain((), dim=3)) is EMPTY_TREE
-    assert member_kdtree(EMPTY_TREE, (0, 0)) is False
+    assert type(tree) is tuple and tree == (5,)
+    assert build_kdtree(Antichain((), dim=3)) is None
+    assert member_kdtree(None, (0, 0)) is False
 
 
 def test_leaves_reproduce_input_and_balance():
@@ -62,7 +60,10 @@ def test_leaves_reproduce_input_and_balance():
         k = rng.randint(1, 6)
         a = rand_antichain(rng, k, rng.randint(1, 40), 9)
         tree = build_kdtree(a)
-        assert sorted(tree_leaves(tree)) == sorted(a.vectors)
+        leaves = tree_leaves(tree)
+        assert sorted(leaves) == sorted(a.vectors)
+        # a leaf is the antichain's own tuple, not a copy or a wrapper
+        assert {id(v) for v in leaves} == {id(v) for v in a.vectors}
         if len(a) > 1:
             assert tree_height(tree) <= math.ceil(math.log2(len(a))) + 1
 
@@ -83,7 +84,7 @@ def test_split_invariants_hold_structurally():
         stack = [tree]
         while stack:
             node = stack.pop()
-            if isinstance(node, KdLeaf):
+            if type(node) is tuple:
                 continue
             i = node.depth % k
             right_vals = [w[i] for w in tree_leaves(node.right)]
@@ -115,8 +116,8 @@ def _reference_tree(vectors, depth, k):
 def _as_reference(node):
     """The tree in the reference's shape; reading ``left``/``right`` splits
     every pending child."""
-    if isinstance(node, KdLeaf):
-        return ("leaf", node.vec)
+    if type(node) is tuple:
+        return ("leaf", node)
     return ("split", node.value, node.depth, node.left_allows_equal,
             _as_reference(node.left), _as_reference(node.right))
 

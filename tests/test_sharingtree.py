@@ -92,7 +92,7 @@ def test_build_singleton_path():
 
 def test_build_empty_is_flagged():
     tree = build_sharingtree(Antichain((), dim=2))
-    assert tree.empty
+    assert not tree.root.succs
     assert member_st(tree, (0, 0)) is False
 
 
@@ -259,8 +259,9 @@ def test_build_is_deterministic():
         t2 = build_sharingtree(a)
 
         def shape(tree):
-            return sorted((n.layer, n.value, n.uid, n.tail, tuple(s.uid for s in n.succs))
-                          for n in all_nodes(tree))
+            nodes = all_nodes(tree)
+            number = {n: i for i, n in enumerate(nodes)}
+            return [(n.layer, n.value, n.tail, tuple(number[s] for s in n.succs)) for n in nodes]
 
         assert shape(t1) == shape(t2)
 

@@ -12,7 +12,6 @@ import itertools
 from collections import deque
 
 from downset import Antichain, get_backend
-from downset.kdtree import EmptyTree, KdLeaf
 from downset.core import maxac
 from downset.parity import (
     EVEN,
@@ -119,14 +118,14 @@ def pair_family(n):
 
 def tree_leaves(tree) -> list:
     """Leaf vectors left to right."""
-    if isinstance(tree, EmptyTree):
+    if tree is None:
         return []
     out: list = []
     stack = [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, KdLeaf):
-            out.append(node.vec)
+        if type(node) is tuple:
+            out.append(node)
         else:
             stack.append(node.right)
             stack.append(node.left)
