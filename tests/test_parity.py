@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from downset.parity import (
     CounterSpace,
     ParityGame,
     ParityParseError,
+    _postorder,
     bwd_counter,
     check_even_strategy,
     counter_space,
@@ -22,7 +24,7 @@ from downset.parity import (
     synthesize_even_strategy,
     zielonka,
 )
-from util import cpre_step, rand_game, reference_solve, reference_strategy, self_loops
+from util import cpre_step, dfs_postorder, rand_game, reference_solve, reference_strategy, self_loops
 
 # hand-traced reference games
 G_ODD_LOOP = ParityGame([1], [1], [[0]], [0])          # odd self-loop, priority 1
@@ -94,6 +96,16 @@ def test_bwd_counter_even_saturation():
     assert bwd_counter((1, 1), 0, caps) == (1, 1)
     # dead components stay dead through even resets
     assert bwd_counter((0, 1), 4, caps) == (0, 2)
+
+
+def test_bwd_counter_even_top_up_matches_the_min_formula():
+    # a live component's top-up min(s + cap, cap + 1) is always cap + 1
+    for caps in itertools.product(range(3), repeat=2):
+        for stored in itertools.product(*(range(c + 2) for c in caps)):
+            for priority in (2, 4, 6):
+                head = tuple(s if s == 0 else min(s + c, c + 1)
+                             for s, c in zip(stored[:priority // 2], caps))
+                assert bwd_counter(stored, priority, caps) == head + stored[len(head):]
 
 
 def test_initial_counters_examples():
@@ -183,6 +195,54 @@ def test_zielonka_nests_a_thousand_priorities_deep():
     # a decomposition that recursed once per level would exceed the
     # interpreter's stack here
     assert zielonka(self_loops(1000)) == [EVEN if v % 2 == 0 else ODD for v in range(1000)]
+
+
+def test_postorder_is_the_recursive_search_order():
+    rng = random.Random(113)
+    for _ in range(100):
+        g = rand_game(rng, rng.randint(1, 12), 5, 3)
+        order = _postorder(g)
+        assert sorted(order) == list(range(len(g)))
+        assert order == dfs_postorder(g)
+
+
+def test_postorder_lists_successors_first_on_acyclic_games():
+    # edges lead to lower ranks, under shuffled labels; the lowest rank's
+    # self-loop is the only cycle
+    rng = random.Random(127)
+    for _ in range(50):
+        n = rng.randint(1, 12)
+        label = list(range(n))
+        rng.shuffle(label)
+        succs = [None] * n
+        for rank in range(n):
+            below = rng.sample(range(rank), min(rank, rng.randint(1, 3))) or [rank]
+            succs[label[rank]] = [label[r] for r in below]
+        g = ParityGame([0] * n, [0] * n, succs, list(range(n)))
+        position = {v: i for i, v in enumerate(_postorder(g))}
+        assert all(position[w] < position[u] for u in range(n) for w in succs[u] if w != u)
+
+
+def test_solve_on_a_thousand_vertices_does_not_recurse():
+    assert solve(self_loops(1000)).winners == [EVEN if v % 2 == 0 else ODD for v in range(1000)]
+    # a 1,000-vertex path: a recursive depth-first search would exceed the
+    # interpreter's stack
+    n = 1000
+    path = ParityGame([0] * n, [2] * n, [[v + 1] for v in range(n - 1)] + [[n - 1]], list(range(n)))
+    assert _postorder(path) == list(reversed(range(n)))
+    r = solve(path)
+    assert r.winners == [EVEN] * n and r.iterations == n
+
+
+def test_worklist_counts_are_pinned():
+    # the successor-first stack over the depth-first postorder; the FIFO
+    # queue over range(nv) it replaced made 5,341 refinements and 2,999
+    # backend setops on the same games
+    rng = random.Random(109)
+    games = [rand_game(rng, rng.randint(2, 12), 7, 3) for _ in range(200)]
+    results = [solve(g) for g in games]
+    assert sum(r.iterations for r in results) == 4518
+    assert sum(r.setops for r in results) == 2411
 
 
 def test_fixpoint_order_independence():

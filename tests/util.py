@@ -9,7 +9,6 @@ into the k-d tree and the parity solver for structural tests.
 """
 
 import itertools
-from collections import deque
 
 from downset import Antichain, get_backend
 from downset.core import maxac
@@ -145,23 +144,42 @@ def cpre_step(mu, game, backend="list"):
     return nu, changed
 
 
+def dfs_postorder(game):
+    """Vertices in depth-first postorder along ``succs``, written as the
+    textbook recursion: roots in index order, successors in list order."""
+    seen, out = set(), []
+
+    def visit(v):
+        seen.add(v)
+        for w in game.succs[v]:
+            if w not in seen:
+                visit(w)
+        out.append(v)
+
+    for v in range(len(game)):
+        if v not in seen:
+            visit(v)
+    return out
+
+
 def reference_solve(game, backend="list", order=None):
     """The worklist solve written out plainly: every backward image is
     recomputed and reduced at each refinement, and the combined image is
-    intersected with the vertex's current downset.  Returns
-    ``(winners, final, iterations)`` for comparison with ``parity.solve``."""
+    intersected with the vertex's current downset.  The worklist is a
+    stack, ``order[0]`` on top (``order`` defaults to
+    :func:`dfs_postorder`), and a change pushes the predecessors not
+    already on it.  Returns ``(winners, final, iterations)`` for comparison
+    with ``parity.solve``."""
     ops = get_backend(backend)
     space = counter_space(game)
     nv = len(game)
     mu = [initial_counters(space)] * nv
     preds = game.predecessors()
-    queue = deque(order if order is not None else range(nv))
-    queued = [False] * nv
-    for u in queue:
-        queued[u] = True
+    stack = list(reversed(order if order is not None else dfs_postorder(game)))
+    queued = [True] * nv
     iterations = 0
-    while queue:
-        u = queue.popleft()
+    while stack:
+        u = stack.pop()
         queued[u] = False
         iterations += 1
         pu = game.priorities[u]
@@ -176,7 +194,7 @@ def reference_solve(game, backend="list", order=None):
             for p in preds[u]:
                 if not queued[p]:
                     queued[p] = True
-                    queue.append(p)
+                    stack.append(p)
     winners = [EVEN if any(min(c) >= 1 for c in mu[v].vectors) else ODD for v in range(nv)]
     return winners, mu, iterations
 
