@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import groupby
 from typing import Optional
 
 from . import bench as bench_mod
@@ -147,11 +148,21 @@ def cmd_width(args) -> int:
     return 0
 
 
+def _sums_text(sums) -> str:
+    """The sums as a list, each run of more than two consecutive sums
+    written ``lo..hi``: a grid whose layers all tie prints one short line."""
+    parts: list = []
+    for _, run in groupby(enumerate(sums), lambda t: t[1] - t[0]):
+        run = [s for _, s in run]
+        parts += [f"{run[0]}..{run[-1]}"] if len(run) > 2 else map(str, run)
+    return "[" + ", ".join(parts) + "]"
+
+
 def cmd_conjecture(args) -> int:
     report = comb.check_middle_layer_conjecture(args.dim, args.ell)
     print(f"d={report.d} ell={report.ell}")
     print(f"width={report.width}")
-    print(f"max_layer_size={report.max_layer_size} at sums {list(report.argmax_sums)}")
+    print(f"max_layer_size={report.max_layer_size} at sums {_sums_text(report.argmax_sums)}")
     print(f"stated_sum={report.stated_sum} midpoint_sum={report.midpoint_sum}")
     print(f"equal={'true' if report.equal else 'false'}")
     return 0

@@ -1,22 +1,22 @@
 """k-d tree backend for downsets.
 
 The tree splits the vector collection on a cyclically chosen coordinate at
-the median under the tie-breaking order "smaller value, then smaller
-position", which guarantees balanced splits even with repeated values.  The
-median vector goes to the right subtree, so the right child holds the
-ceil(p/2) largest entries of the split coordinate and the left child the
-rest.  Both children keep the input's position order, the median last.
-A leaf is its vector tuple itself, and the empty tree is ``None``.
+the median of a stable sort of the node's vectors on that coordinate, which
+guarantees balanced splits even with repeated values.  Ties keep the order
+of the node's own list: its parent's sorted order, and at the root the
+input's order (lexicographic for an antichain).  The first floor(p/2)
+vectors of the sorted list form the left child and the rest the right, so
+the right child holds the ceil(p/2) largest entries of the split coordinate
+and starts with the median.  A leaf is its vector tuple itself, and the
+empty tree is ``None``.
 
 The tree is split lazily: ``build_kdtree`` splits only the root, and a
 child stays a pending vector list until a search first descends into it
 (or ``left``/``right`` is read), so a query pays only for the nodes it
-reaches and each node is split at most once.  A split takes one C sort of
-the split coordinate's values for the median and one linear pass that
-deals the vectors out: values below the median left, values above it
-right, and of the positions equal to it the first few left (to fill the
-left half), the next one as the median, the rest right.  That is
-O(p log p) per node and O(n log^2 n) for a full build.
+reaches and each node is split at most once.  A split is one stable C sort
+of the node's vectors keyed on the split coordinate, cut in two halves;
+no Python loop runs over the vectors.  That is O(p log p) per node and
+O(n log^2 n) for a full build.
 
 Concurrent searches of one tree are safe: a split is deterministic, so a
 race can only split one node twice into equal subtrees, and every search
@@ -38,7 +38,7 @@ need no other.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from operator import itemgetter
 from typing import Optional
 
 from .core import Antichain, DimensionMismatch, Stats, Vector
@@ -50,12 +50,12 @@ class KdSplit:
 
     ``left_allows_equal`` records whether the left subtree received vectors
     whose split coordinate equals the median (possible only with repeated
-    values, where ties broke on position); exact left-branch pruning needs
-    this bit.
+    values, where ties keep the list's order); exact left-branch pruning
+    needs this bit.
 
-    A child stays a pending vector list (position order, the median last
-    on the right) until it is first reached; ``left`` and ``right`` split
-    it on access, as the search does.
+    A child stays a pending vector list (a half of the sorted list, the
+    median first on the right) until it is first reached; ``left`` and
+    ``right`` split it on access, as the search does.
     """
 
     __slots__ = ("value", "depth", "_left", "_right", "left_allows_equal")
@@ -84,44 +84,28 @@ class KdSplit:
 
 def _split(vectors: list, depth: int):
     """One node over ``vectors``: a leaf (the one vector), or a split whose
-    children are left pending."""
+    children, the two halves of one stable sort of ``vectors`` on the
+    split coordinate, are left pending."""
     p = len(vectors)
     if p == 1:
         return vectors[0]
     i = depth % len(vectors[0])
-    col = [v[i] for v in vectors]
-    s = sorted(col)
+    # stable, so ties keep the list's order: the first h go left, the
+    # median is the first on the right
+    order = sorted(vectors, key=itemgetter(i))
     h = p // 2
-    mu = s[h]
-    # the h smallest under value-then-position go left: every value below
-    # mu, then the first mu-valued positions; the next one is the median
-    ties = h - bisect_left(s, mu)
-    left: list = []
-    right: list = []
-    median = None
-    for v, x in zip(vectors, col):
-        if x < mu:
-            left.append(v)
-        elif x > mu:
-            right.append(v)
-        elif ties:
-            left.append(v)
-            ties -= 1
-        elif median is None:
-            median = v
-        else:
-            right.append(v)
-    right.append(median)
-    return KdSplit(mu, depth, left, right, s[h - 1] == mu)
+    mu = order[h][i]
+    return KdSplit(mu, depth, order[:h], order[h:], order[h - 1][i] == mu)
 
 
 def build_kdtree(source):
     """Build a balanced tree from an antichain or a raw vector collection.
 
-    Only the root is split here; every other node is split when first
-    reached.  Raw collections may contain duplicates and comparable
-    vectors; the leaves always reproduce the input exactly.  The empty
-    tree is ``None``.
+    Only the root is split here, by one stable sort of the input in its
+    own order (an antichain's is lexicographic); every other node is split
+    when first reached.  Raw collections may contain duplicates and
+    comparable vectors, but not vectors of length 0; the leaves always
+    reproduce the input exactly.  The empty tree is ``None``.
     """
     if isinstance(source, Antichain):
         vectors = source.vectors
@@ -129,6 +113,8 @@ def build_kdtree(source):
         vectors = [tuple(v) for v in source]
         if any(len(v) != len(vectors[0]) for v in vectors):
             raise DimensionMismatch("mixed vector lengths")
+        if vectors and not vectors[0]:
+            raise ValueError("dimension must be at least 1")
     return _split(vectors, 0) if vectors else None
 
 

@@ -203,6 +203,17 @@ def test_width_and_conjecture_answer_large_grids_quickly():
     assert err == "error: grid [2]^21 has 2097152 points, limit is 1048576\n"
 
 
+def test_conjecture_prints_a_run_of_tied_sums_as_a_range(capsys):
+    # for d=1 every layer has one point, so every sum ties for the maximum;
+    # a run of more than two consecutive sums prints as lo..hi
+    code, out, _ = run_main(capsys, ["conjecture", "--dim", "1", "--ell", "1048576"])
+    assert code == 0 and len(out) < 200
+    assert "max_layer_size=1 at sums [0..1048575]" in out.splitlines()
+    for ell, sums in [(2, "[0, 1]"), (3, "[0..2]")]:
+        code, out, _ = run_main(capsys, ["conjecture", "--dim", "1", "--ell", ell])
+        assert code == 0 and f"max_layer_size=1 at sums {sums}" in out.splitlines()
+
+
 def test_gen_deterministic_bytes(capsys, tmp_path):
     p1, p2 = tmp_path / "g1.txt", tmp_path / "g2.txt"
     for p in (p1, p2):

@@ -16,7 +16,7 @@ from downset.kdtree import (
     tree_dim,
     tree_height,
 )
-from util import adversarial_vectors, prec_median, rand_antichain, tree_leaves
+from util import _prec_order, adversarial_vectors, prec_median, rand_antichain, tree_leaves
 
 KD = get_backend("kdtree")
 
@@ -68,6 +68,13 @@ def test_leaves_reproduce_input_and_balance():
             assert tree_height(tree) <= math.ceil(math.log2(len(a))) + 1
 
 
+def test_build_rejects_zero_length_vectors():
+    # as Antichain does; a split would take the coordinate modulo 0
+    for source in ([()], [(), ()]):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            build_kdtree(source)
+
+
 def test_build_keeps_duplicates_in_collections():
     vecs = [(1, 1), (1, 1), (2, 0)]
     tree = build_kdtree(vecs)
@@ -99,16 +106,19 @@ def test_split_invariants_hold_structurally():
 
 
 def _reference_tree(vectors, depth, k):
-    """Eager tree from the definition: the median under value-then-position
-    splits, the smaller half goes left, the median last on the right."""
+    """Eager tree from the definition: rank the vectors on the split
+    coordinate, ties by their position in the node's list; the first
+    floor(p/2) ranks go left and the rest right, the median first."""
     if len(vectors) == 1:
         return ("leaf", vectors[0])
     i = depth % k
     col = [v[i] for v in vectors]
+    ranks = _prec_order(col)
     m = prec_median(col)
     mu = col[m]
-    left = [v for j, v in enumerate(vectors) if (col[j], j) < (mu, m)]
-    right = [v for j, v in enumerate(vectors) if (col[j], j) > (mu, m)] + [vectors[m]]
+    h = len(vectors) // 2
+    left = [vectors[j] for j in ranks[:h]]
+    right = [vectors[j] for j in ranks[h:]]
     return ("split", mu, depth, any(v[i] == mu for v in left),
             _reference_tree(left, depth + 1, k), _reference_tree(right, depth + 1, k))
 
@@ -319,14 +329,15 @@ def test_best_case_large_query_skips_left_branches():
 def test_kdtree_counts_are_pinned():
     # counts of the k-d backend on seeded bench rows (k=6, t=10 and 40); a
     # change to the build or the search must leave the tree and these
-    # counts as they are
+    # counts as they are.  The union and intersection counts also pin the
+    # tie order: ties keep the order of the node's list
     expected = {
         ("membership", "comparisons"): (856, 6835),
         ("membership", "node_visits"): (227, 1961),
-        ("union", "comparisons"): (342, 3187),
-        ("union", "node_visits"): (97, 928),
-        ("intersection", "comparisons"): (1306, 8857),
-        ("intersection", "node_visits"): (217, 1955),
+        ("union", "comparisons"): (342, 3185),
+        ("union", "node_visits"): (97, 926),
+        ("intersection", "comparisons"): (1306, 8850),
+        ("intersection", "node_visits"): (217, 1950),
     }
     for (op, metric), values in expected.items():
         rows = run_bench(BenchSpec(op=op, sizes=(10, 40), k=6, seed=3,
