@@ -460,8 +460,9 @@ def parse_vector_set(text: str) -> Antichain:
 
 
 def format_vector_set(ac: Antichain) -> str:
+    row = " ".join(["%d"] * ac.dim)
     lines = [f"dim {ac.dim}"]
-    lines.extend(" ".join(str(x) for x in v) for v in ac.vectors)
+    lines.extend([row % v for v in ac.vectors])
     return "\n".join(lines) + "\n"
 
 

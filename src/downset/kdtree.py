@@ -134,7 +134,7 @@ class _Search:
         self.u = u
         self.k = len(u)
         self.lb = [0] * self.k
-        self.c = sum(1 for x in u if x > 0)
+        self.c = len([x for x in u if x > 0])
         self.visits = 0
         self.comps = 0
 

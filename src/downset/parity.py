@@ -32,19 +32,31 @@ work resumes (Bourdoncle, FMPA 1993).  On 3,000 random games of 12-14
 vertices this takes 27 % fewer refinements and 29 % fewer unions and
 intersections than a first-in first-out queue over the vertex indices.
 
-Within one solve, each union and intersection runs on the backend at most
-once per pair of operand values.  A table that lives for the solve keeps
-each result under the operation and the two operands' ``vectors`` tuples in
-sorted order; both operations commute, so the pair is unordered.  Equal
-operands are their own union and intersection and reach neither the table
-nor the backend.  Images of different vertices are often equal, and an
-unchanged image meets the same partners again at every later refinement of
-its predecessor, so about half of a solve's operations are repeats.  On the
-k-d tree and sharing-tree backends, whose operations build an index of each
-operand, a solve also builds each operand value's index once
-(``core.BuildOnce``) and queries it for every later operation that value
-takes part in; without it, more than half of a solve's builds repeat one
-it already made.
+Within one solve, every downset is hash-consed (Filliâtre & Conchon, ML
+2006): the initial counters, each backward image and each union or
+intersection result is looked up in a table of the values the solve has
+made so far, keyed on ``vectors``, and replaced by the object already
+there, so each value is one object for the whole solve.  Value equality is
+then identity.  A vertex's downset changed exactly when the new one is
+another object, and each union and intersection runs on the backend at
+most once per pair of operand objects: a table that lives for the solve
+keeps each result under the two operands' ``id`` in increasing order, both
+operations commuting, so the pair is unordered and is hashed as two ints,
+not as two nested vector tuples.  An operand met with itself is its own
+union and intersection and reaches neither the table nor the backend.
+Images of different vertices are often equal, and an unchanged image meets
+the same partners again at every later refinement of its predecessor, so
+about half of a solve's operations are repeats.  On the k-d tree and
+sharing-tree backends, whose operations build an index of each operand, a
+solve also builds each operand value's index once (``core.BuildOnce``) and
+queries it for every later operation that value takes part in; without it,
+more than half of a solve's builds repeat one it already made.
+
+Hash-consing looks a result up after it is made; it does not change how it
+is made.  A backward image of two or more counters is still reduced by
+``core.maxac``, the package's canonical constructor, which the benchmark's
+tracing counts as canonicalisation; the table only decides which object
+stands for the reduced value.
 
 The module also carries a pgsolver-format parser, co-lexicographic strategy
 extraction for the even player, and an independent Zielonka-style oracle
@@ -198,7 +210,7 @@ class CounterSpace:
 def counter_space(game: ParityGame) -> CounterSpace:
     maxp = max(game.priorities)
     d = max(1, (maxp + 1) // 2)
-    caps = tuple(sum(1 for p in game.priorities if p == 2 * i - 1) for i in range(1, d + 1))
+    caps = tuple(map(game.priorities.count, range(1, 2 * d, 2)))
     return CounterSpace(d, caps)
 
 
@@ -220,8 +232,8 @@ def bwd_counter(stored: Tuple[int, ...], priority: int, caps: Sequence[int]) -> 
     i = priority // 2
     if i == 0:
         return stored
-    head = tuple(caps[j] + 1 if stored[j] else 0 for j in range(min(i, len(stored))))
-    return head + stored[len(head):]
+    head = [c + 1 if s else 0 for c, s in zip(caps, stored[:i])]
+    return tuple(head) + stored[len(head):]
 
 
 def down_bwd(ac: Antichain, priority: int, space: CounterSpace) -> Antichain:
@@ -246,7 +258,9 @@ def initial_counters(space: CounterSpace) -> Antichain:
 
 
 def _has_nonnegative(ac: Antichain) -> bool:
-    return any(all(s >= 1 for s in c) for c in ac.vectors)
+    """Does some counter have every component live (stored at least 1)?
+    Stored counters are naturals, so that is a counter without a 0."""
+    return any(0 not in c for c in ac.vectors)
 
 
 def _cpre_vertex(parts: Sequence[Antichain], owner: int, ops) -> Antichain:
@@ -269,31 +283,37 @@ class _SetopTable:
     """A backend's union and intersection for one solve, each run at most
     once per unordered pair of operand values (see ``solve``).
 
-    Results are kept under ``(kind, x, y)`` with ``x <= y`` the operands'
-    ``vectors``: tuples, which C hashes and compares, rather than the
-    antichains themselves.  Each backend call stores one new result, so
-    ``len(_results)`` counts the calls made.
+    The operands are the solve's hash-consed downsets, one object per
+    ``vectors`` value, so equal operands are one object and a pair of
+    values is a pair of objects.  Each operation keeps its results under
+    the two operands' ``id`` in increasing order: Python hashes two ints
+    instead of both operands' nested vector tuples.  A result is
+    hash-consed through ``intern`` before it is kept, and ``calls`` counts
+    the backend calls, one per kept result.
     """
 
-    def __init__(self, ops) -> None:
-        self._ops = ops
-        self._results: Dict[tuple, Antichain] = {}
+    def __init__(self, ops, intern) -> None:
+        self.calls = 0
+        self.union = self._combiner(ops.union, intern)
+        self.intersect = self._combiner(ops.intersect, intern)
 
-    def union(self, a: Antichain, b: Antichain) -> Antichain:
-        return self._combine("union", a, b)
+    def _combiner(self, run, intern):
+        """The operation ``run`` of the backend, bound once, over the table."""
+        results: Dict[Tuple[int, int], Antichain] = {}
 
-    def intersect(self, a: Antichain, b: Antichain) -> Antichain:
-        return self._combine("intersect", a, b)
+        def combine(a: Antichain, b: Antichain) -> Antichain:
+            if a is b:
+                return a
+            i, j = id(a), id(b)
+            key = (i, j) if i < j else (j, i)
+            result = results.get(key)
+            if result is None:
+                result = run(a, b)
+                result = results[key] = intern(result.vectors, result)
+                self.calls += 1
+            return result
 
-    def _combine(self, kind: str, a: Antichain, b: Antichain) -> Antichain:
-        x, y = a.vectors, b.vectors
-        if x == y:
-            return a
-        key = (kind, x, y) if x < y else (kind, y, x)
-        result = self._results.get(key)
-        if result is None:
-            result = self._results[key] = getattr(self._ops, kind)(a, b)
-        return result
+        return combine
 
 
 @dataclass
@@ -305,6 +325,7 @@ class SolveResult:
     images: int                   # backward images computed (down_bwd calls)
     backward: List[Dict[int, Antichain]]  # per vertex v: priority p -> down_bwd(final[v], p)
     setops: int                   # unions and intersections the backend ran
+    peak_antichain: int           # most vectors in one antichain the solve made
 
 
 def _postorder(game: ParityGame) -> List[int]:
@@ -353,20 +374,29 @@ def solve(game: ParityGame, backend: str = "list",
     successors' last change, so at the fixpoint they hold the image of
     every successor's final downset at the priority of each predecessor.
 
-    Unions and intersections go through a table created here and dropped on
-    return: a pair of operands with equal ``vectors`` gives the first
-    operand back, and any other pair is sent to the backend once per
-    operation, keyed on the two ``vectors`` tuples in sorted order, since
-    both operations commute.  ``setops`` counts the backend calls, one per
-    stored result.  A backend whose operations run over an index module
-    (``ops.index``) gets them over a ``core.BuildOnce`` of that module, also
-    made here and dropped on return, so each operand value's index is built
-    once per solve; results and per-query counts are those of fresh builds.
+    Every downset the solve holds is hash-consed through a table created
+    here and dropped on return: the initial counters, each image and each
+    union or intersection result is replaced by the first object made with
+    its ``vectors``, so one value is one object.  A refinement changes
+    ``mu[u]`` when the new downset is another object (``is not``), and
+    unions and intersections go through a second table: an operand met
+    with itself is given back, and any other pair is sent to the backend
+    once per operation, keyed on the two operands' ``id`` in increasing
+    order, since both operations commute.  ``setops`` counts the backend
+    calls, one per stored result, and ``peak_antichain`` is the size of the
+    largest value in the intern table, the largest antichain the solve
+    made.  Images are still reduced by ``maxac``; interning happens after.
+    A backend whose operations run over an index module (``ops.index``)
+    gets them over a ``core.BuildOnce`` of that module, also made here and
+    dropped on return, so each operand value's index is built once per
+    solve; results and per-query counts are those of fresh builds.
     """
     ops = get_backend(backend)
     if ops.index is not None:
         ops = _over_index(ops.name, BuildOnce(ops.index))
-    ops = _SetopTable(ops)
+    interned: Dict[tuple, Antichain] = {}
+    intern = interned.setdefault
+    ops = _SetopTable(ops, intern)
     space = counter_space(game)
     nv = len(game)
     if order is None:
@@ -374,7 +404,7 @@ def solve(game: ParityGame, backend: str = "list",
     elif sorted(order) != list(range(nv)):
         raise ValueError("order must list every vertex exactly once")
     init = initial_counters(space)
-    mu: List[Antichain] = [init] * nv
+    mu: List[Antichain] = [intern(init.vectors, init)] * nv
     cache: List[Dict[int, Antichain]] = [{} for _ in range(nv)]
     preds = game.predecessors()
     stack = list(reversed(order))
@@ -389,11 +419,12 @@ def solve(game: ParityGame, backend: str = "list",
         for v in game.succs[u]:
             image = cache[v].get(pu)
             if image is None:
-                image = cache[v][pu] = down_bwd(mu[v], pu, space)
+                image = down_bwd(mu[v], pu, space)
+                image = cache[v][pu] = intern(image.vectors, image)
                 images += 1
             parts.append(image)
         new = _cpre_vertex(parts, game.owners[u], ops)
-        if new != mu[u]:
+        if new is not mu[u]:
             mu[u] = new
             cache[u].clear()
             for p in preds[u]:
@@ -401,7 +432,8 @@ def solve(game: ParityGame, backend: str = "list",
                     queued[p] = True
                     stack.append(p)
     winners = [EVEN if _has_nonnegative(mu[v]) else ODD for v in range(nv)]
-    return SolveResult(winners, iterations, mu, space, images, cache, len(ops._results))
+    return SolveResult(winners, iterations, mu, space, images, cache, ops.calls,
+                       max(map(len, interned)))
 
 
 def synthesize_even_strategy(game: ParityGame, result: SolveResult) -> Dict[int, int]:
@@ -421,13 +453,12 @@ def synthesize_even_strategy(game: ParityGame, result: SolveResult) -> Dict[int,
         if game.owners[u] != EVEN or result.winners[u] != EVEN:
             continue
         pu = game.priorities[u]
-        kept = [i for i in range(space.d) if 2 * (i + 1) >= pu]
+        kept = [i for i in reversed(range(space.d)) if 2 * (i + 1) >= pu]
         best_key = None
         best_succ = None
         for v in game.succs[u]:
             image = result.backward[v][pu]
-            keys = [tuple(c[i] for i in reversed(kept))
-                    for c in image.vectors if all(s >= 1 for s in c)]
+            keys = [tuple([c[i] for i in kept]) for c in image.vectors if 0 not in c]
             if not keys:
                 continue
             key = max(keys)

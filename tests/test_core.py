@@ -428,6 +428,14 @@ def test_vector_set_format_round_trip():
     assert parse_vector_set(text) == a
 
 
+def test_vector_set_format_writes_whole_numbers_and_the_empty_set():
+    # each member is one row template filled with its components
+    assert format_vector_set(Antichain([(10, 0, 7), (3, 123456789012345678901, 0)])) == \
+        "dim 3\n3 123456789012345678901 0\n10 0 7\n"
+    assert format_vector_set(Antichain([(40,)])) == "dim 1\n40\n"
+    assert format_vector_set(Antichain((), dim=4)) == "dim 4\n"
+
+
 def test_vector_set_parser_canonicalizes_and_ignores_comments():
     text = "# heading\n\ndim 2\n1 1\n# dominated below\n0 1\n1 1\n"
     assert parse_vector_set(text).vectors == ((1, 1),)

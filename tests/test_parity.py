@@ -290,10 +290,10 @@ def test_solve_matches_reference_solver(backend):
         rng.shuffle(order)
         for o in (None, order):
             r = solve(g, backend=backend, order=o)
-            winners, final, iterations = reference_solve(g, backend=backend, order=o)
-            assert r.winners == winners
-            assert [a.vectors for a in r.final] == [a.vectors for a in final]
-            assert r.iterations == iterations
+            ref = reference_solve(g, backend=backend, order=o)
+            assert r.winners == ref.winners
+            assert [a.vectors for a in r.final] == [a.vectors for a in ref.final]
+            assert r.iterations == ref.iterations
 
 
 def test_solve_counts_and_reuses_its_images(monkeypatch):
@@ -352,6 +352,59 @@ def test_solve_combines_each_pair_once(backend, monkeypatch):
         assert r.setops == len(calls)
         total += len(calls)
     assert total > 0
+
+
+@pytest.mark.parametrize("backend", ["list", "kdtree", "sharingtree", "cst", "adaptive"])
+def test_solve_holds_one_object_per_downset_value(backend):
+    # the solve hash-conses its downsets, so the setop table and the change
+    # test can go by identity; its results and accounts are still those of
+    # the reference, which goes by value
+    rng = random.Random(113)
+    for _ in range(40):
+        g = rand_game(rng, rng.randint(2, 10), 7, 3)
+        r = solve(g, backend=backend)
+        objects = {}
+        for ac in r.final + [image for kept in r.backward for image in kept.values()]:
+            assert objects.setdefault(ac.vectors, ac) is ac
+        ref = reference_solve(g, backend=backend)
+        assert (r.winners, r.iterations, r.images, r.setops) == \
+            (ref.winners, ref.iterations, ref.images, ref.setops)
+        assert [a.vectors for a in r.final] == [a.vectors for a in ref.final]
+        assert [{p: a.vectors for p, a in kept.items()} for kept in r.backward] == \
+            [{p: a.vectors for p, a in kept.items()} for kept in ref.backward]
+
+
+@pytest.mark.parametrize("backend", ["list", "kdtree", "sharingtree", "cst", "adaptive"])
+def test_solve_reports_its_peak_antichain(backend, monkeypatch):
+    # the peak is the largest of the initial counter, the backward images
+    # and the backend's results, as a counting backend sees them
+    ops = adaptive.BACKENDS[backend]
+    sizes = []
+
+    def counted(run):
+        def op(a, b, stats=None):
+            result = run(a, b, stats)
+            sizes.append(len(result))
+            return result
+        return op
+
+    def counted_image(ac, priority, space):
+        image = down_bwd(ac, priority, space)
+        sizes.append(len(image))
+        return image
+
+    monkeypatch.setitem(adaptive.BACKENDS, backend, adaptive.BackendOps(
+        backend, ops.member, counted(ops.union), counted(ops.intersect)))
+    monkeypatch.setattr(parity_mod, "down_bwd", counted_image)
+    rng = random.Random(127)
+    peaks = []
+    for _ in range(40):
+        g = rand_game(rng, rng.randint(2, 10), 7, 3)
+        sizes[:] = [1]
+        r = solve(g, backend=backend)
+        assert r.peak_antichain == max(sizes) >= max(map(len, r.final))
+        peaks.append(r.peak_antichain)
+    assert max(peaks) > 1
 
 
 @pytest.mark.parametrize("backend", ["kdtree", "sharingtree", "cst"])

@@ -9,6 +9,7 @@ into the k-d tree and the parity solver for structural tests.
 """
 
 import itertools
+from types import SimpleNamespace
 
 from downset import Antichain, get_backend
 from downset.core import maxac
@@ -168,35 +169,54 @@ def reference_solve(game, backend="list", order=None):
     intersected with the vertex's current downset.  The worklist is a
     stack, ``order[0]`` on top (``order`` defaults to
     :func:`dfs_postorder`), and a change pushes the predecessors not
-    already on it.  Returns ``(winners, final, iterations)`` for comparison
-    with ``parity.solve``."""
+    already on it.
+
+    Returns a namespace for comparison with ``parity.solve``: ``winners``,
+    ``final`` and ``iterations``, and the solve's accounts kept by value.
+    ``backward`` holds, per vertex and priority, the first image taken of
+    the vertex's current downset, and ``images`` counts those first
+    images; a change at the vertex forgets them.  ``setops`` counts the
+    distinct unordered pairs of unequal operand values each operation
+    combined (the intersection with the old downset left out)."""
     ops = get_backend(backend)
     space = counter_space(game)
     nv = len(game)
     mu = [initial_counters(space)] * nv
+    backward = [{} for _ in range(nv)]
     preds = game.predecessors()
     stack = list(reversed(order if order is not None else dfs_postorder(game)))
     queued = [True] * nv
-    iterations = 0
+    iterations = images = 0
+    pairs = set()
     while stack:
         u = stack.pop()
         queued[u] = False
         iterations += 1
         pu = game.priorities[u]
-        parts = [maxac([bwd_counter(c, pu, space.caps) for c in mu[v].vectors], dim=space.d)
-                 for v in game.succs[u]]
+        parts = []
+        for v in game.succs[u]:
+            part = maxac([bwd_counter(c, pu, space.caps) for c in mu[v].vectors], dim=space.d)
+            if pu not in backward[v]:
+                backward[v][pu] = part
+                images += 1
+            parts.append(part)
+        kind = "union" if game.owners[u] == EVEN else "intersect"
         combined = parts[0]
         for part in parts[1:]:
-            combined = (ops.union if game.owners[u] == EVEN else ops.intersect)(combined, part)
+            if combined.vectors != part.vectors:
+                pairs.add((kind, frozenset((combined.vectors, part.vectors))))
+            combined = getattr(ops, kind)(combined, part)
         new = ops.intersect(mu[u], combined)
         if new != mu[u]:
             mu[u] = new
+            backward[u].clear()
             for p in preds[u]:
                 if not queued[p]:
                     queued[p] = True
                     stack.append(p)
     winners = [EVEN if any(min(c) >= 1 for c in mu[v].vectors) else ODD for v in range(nv)]
-    return winners, mu, iterations
+    return SimpleNamespace(winners=winners, final=mu, iterations=iterations, images=images,
+                           backward=backward, setops=len(pairs))
 
 
 def reference_strategy(game, result):
