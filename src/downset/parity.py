@@ -46,11 +46,12 @@ not as two nested vector tuples.  An operand met with itself is its own
 union and intersection and reaches neither the table nor the backend.
 Images of different vertices are often equal, and an unchanged image meets
 the same partners again at every later refinement of its predecessor, so
-about half of a solve's operations are repeats.  On the k-d tree and
-sharing-tree backends, whose operations build an index of each operand, a
-solve also builds each operand value's index once (``core.BuildOnce``) and
-queries it for every later operation that value takes part in; without it,
-more than half of a solve's builds repeat one it already made.
+about half of a solve's operations are repeats.  On the backends whose
+operations build an index of each operand (k-d tree, sharing tree, CST),
+the same table is the solve's index: it keeps each operand's index under
+the operand's ``id``, so each value's index is built once and queried for
+every later operation that value takes part in; without it, more than half
+of a solve's builds repeat one it already made.
 
 Hash-consing looks a result up after it is made; it does not change how it
 is made.  A backward image of two or more counters is still reduced by
@@ -66,10 +67,11 @@ used by tests and the CLI's --check mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .adaptive import _over_index, get_backend
-from .core import Antichain, BuildOnce, maxac
+from .adaptive import get_backend
+from .core import Antichain, intersect, maxac, union
 
 EVEN = 0
 ODD = 1
@@ -290,12 +292,29 @@ class _SetopTable:
     instead of both operands' nested vector tuples.  A result is
     hash-consed through ``intern`` before it is kept, and ``calls`` counts
     the backend calls, one per kept result.
+
+    A backend that runs over an index module (``ops.index``) runs here as
+    ``core.union`` and ``core.intersect`` over the table itself: ``build``
+    keeps each operand's index under the operand's ``id`` and ``member`` is
+    the module's, so each value's index is built once per solve.
     """
 
     def __init__(self, ops, intern) -> None:
         self.calls = 0
-        self.union = self._combiner(ops.union, intern)
-        self.intersect = self._combiner(ops.intersect, intern)
+        run_union, run_intersect = ops.union, ops.intersect
+        if ops.index is not None:
+            self._build, self.member, self._built = ops.index.build, ops.index.member, {}
+            run_union, run_intersect = partial(union, self), partial(intersect, self)
+        self.union = self._combiner(run_union, intern)
+        self.intersect = self._combiner(run_intersect, intern)
+
+    def build(self, ac: Antichain):
+        # Every operand is an interned object, which the intern table holds
+        # until the solve returns, so no other value can take over its id.
+        key = id(ac)
+        if key not in self._built:
+            self._built[key] = self._build(ac)
+        return self._built[key]
 
     def _combiner(self, run, intern):
         """The operation ``run`` of the backend, bound once, over the table."""
@@ -353,14 +372,12 @@ def _postorder(game: ParityGame) -> List[int]:
     return out
 
 
-def solve(game: ParityGame, backend: str = "list",
-          order: Optional[Sequence[int]] = None) -> SolveResult:
+def solve(game: ParityGame, backend: str = "list") -> SolveResult:
     """Worklist iteration to the greatest fixpoint, then the winner test.
 
-    The worklist is a stack.  It starts with every vertex, ``order[0]`` on
-    top; ``order`` must list each vertex once and defaults to
-    ``_postorder(game)``, so a vertex is first refined after the
-    successors the depth-first search reached from it.  A change at a
+    The worklist is a stack.  It starts with every vertex in depth-first
+    postorder (``_postorder``), the first on top, so a vertex is first
+    refined after the successors the search reached from it.  A change at a
     vertex pushes its predecessors that are not already waiting, so the
     next refinement is the predecessor pushed last.  The fixpoint is
     independent of the order, which decides only how many refinements
@@ -387,27 +404,19 @@ def solve(game: ParityGame, backend: str = "list",
     largest value in the intern table, the largest antichain the solve
     made.  Images are still reduced by ``maxac``; interning happens after.
     A backend whose operations run over an index module (``ops.index``)
-    gets them over a ``core.BuildOnce`` of that module, also made here and
-    dropped on return, so each operand value's index is built once per
-    solve; results and per-query counts are those of fresh builds.
+    builds each operand value's index once per solve, through the second
+    table; results and per-query counts are those of fresh builds.
     """
-    ops = get_backend(backend)
-    if ops.index is not None:
-        ops = _over_index(ops.name, BuildOnce(ops.index))
     interned: Dict[tuple, Antichain] = {}
     intern = interned.setdefault
-    ops = _SetopTable(ops, intern)
+    ops = _SetopTable(get_backend(backend), intern)
     space = counter_space(game)
     nv = len(game)
-    if order is None:
-        order = _postorder(game)
-    elif sorted(order) != list(range(nv)):
-        raise ValueError("order must list every vertex exactly once")
     init = initial_counters(space)
     mu: List[Antichain] = [intern(init.vectors, init)] * nv
     cache: List[Dict[int, Antichain]] = [{} for _ in range(nv)]
     preds = game.predecessors()
-    stack = list(reversed(order))
+    stack = _postorder(game)[::-1]
     queued = [True] * nv
     iterations = images = 0
     while stack:

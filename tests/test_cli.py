@@ -248,7 +248,8 @@ def test_solve_parity_stats_flag_leaves_output_unchanged(capsys, tmp_path):
     assert out == plain
     r = solve(parse_pgsolver(text))
     assert r.images > 0 and r.setops > 0
-    assert err == f"refinements={r.iterations} images={r.images} setops={r.setops}\n"
+    assert err == (f"refinements={r.iterations} images={r.images} setops={r.setops}"
+                   f" peak_antichain={r.peak_antichain}\n")
 
 
 def test_solve_parity_check_on_a_thousand_priorities_without_traceback(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from math import comb
 
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import downset.combinatorics as combinatorics
 from downset.combinatorics import (
     GridTooLarge,
+    MiddleLayerReport,
     check_middle_layer_conjecture,
     count_2d,
     count_antichains,
@@ -104,6 +107,33 @@ def test_middle_layer_reports():
     assert r.argmax_sums == (1, 2)
     r = check_middle_layer_conjecture(1, 5)
     assert (r.width, r.max_layer_size, r.equal) == (1, 1, True)
+
+
+def test_middle_layer_report_matches_a_full_scan():
+    for d in range(1, 6):
+        for ell in range(1, 7):
+            top = (ell - 1) * d
+            sizes = [layer_size(d, ell, s) for s in range(top + 1)]
+            best = max(sizes)
+            assert check_middle_layer_conjecture(d, ell) == MiddleLayerReport(
+                d=d, ell=ell, width=width(d, ell), max_layer_size=best,
+                argmax_sums=tuple(s for s, n in enumerate(sizes) if n == best),
+                equal=width(d, ell) == best, stated_sum=ell * d // 2, midpoint_sum=top // 2)
+
+
+def test_middle_layer_report_bisects(monkeypatch):
+    # d=1 gives 4,096 layers of one vector each: every sum is an argmax,
+    # found with a logarithmic number of layer sizes
+    calls = []
+
+    def counted(d, ell, s):
+        calls.append(s)
+        return layer_size(d, ell, s)
+
+    monkeypatch.setattr(combinatorics, "layer_size", counted)
+    r = check_middle_layer_conjecture(1, 4096)
+    assert r.argmax_sums == tuple(range(4096)) and r.max_layer_size == 1
+    assert len(calls) <= 2 * math.ceil(math.log2(4095)) + 3
 
 
 def test_grid_guard():

@@ -259,7 +259,7 @@ def test_set_ops_match_pointwise_semantics():
     pairs += shared_pairs(rng, 15)
     unions = [get_backend(name).union for name in ("list", "kdtree", "sharingtree", "adaptive")]
     for a, b in pairs:
-        top = max(a.max_norm(), b.max_norm()) + 1
+        top = max((x for v in a.vectors + b.vectors for x in v), default=0) + 1
         da = brute_downset(a.vectors, top) if a.vectors else set()
         db = brute_downset(b.vectors, top) if b.vectors else set()
         i = intersect_list(a, b)
@@ -307,23 +307,20 @@ def test_union_queries_only_unshared_members(inner):
     assert shared > 0
 
 
-@pytest.mark.parametrize("inner", [core.ListIndex, kdtree, sharingtree],
-                         ids=["list", "kdtree", "sharingtree"])
-def test_build_once_shares_builds_of_equal_values(inner):
-    a = Antichain([(2, 0, 1), (0, 2, 1)])
-    counting = _CountingIndex(inner)
-    once = core.BuildOnce(counting)
-    first = once.build(a)
-    assert once.build(Antichain(list(a.vectors))) is first
-    assert counting.builds == 1
-    # empty antichains of different dimensions are different values
-    once.build(Antichain([], dim=2))
-    once.build(Antichain([], dim=3))
-    assert counting.builds == 3
-    # a new object builds again: nothing is kept between them
-    core.BuildOnce(counting).build(a)
-    assert counting.builds == 4
-    assert once.member(first, (1, 0, 1)) and not once.member(first, (1, 1, 1))
+class _MemoIndex:
+    """An index that builds each antichain value once and keeps the build,
+    as a parity solve keeps one per operand."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.built = {}
+        self.member = inner.member
+
+    def build(self, ac):
+        key = (ac.dim, ac.vectors)
+        if key not in self.built:
+            self.built[key] = self.inner.build(ac)
+        return self.built[key]
 
 
 @pytest.mark.parametrize("inner", [core.ListIndex, kdtree, sharingtree],
@@ -332,7 +329,7 @@ def test_build_once_keeps_results_and_counts(inner):
     # union and intersect count the same over reused indexes as over fresh
     # ones; members queried first leave the reused k-d trees partly split
     rng = random.Random(37)
-    once = core.BuildOnce(inner)
+    once = _MemoIndex(inner)
     for a, b in list(shared_pairs(rng, 15)) + list(small_antichains(rng, 30)):
         for u in a.vectors[::3]:
             assert core.member(once, a, u)

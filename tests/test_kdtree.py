@@ -239,10 +239,10 @@ def test_member_examples():
         member_kdtree(tree, (1, 1, 1))
 
 
-def test_strict_member_handles_duplicate_leaves():
-    # trees over meet multisets contain equal vectors; a query equal to them
-    # is a member, and union keeps a member shared by both operands, since
-    # equal copies do not strictly dominate each other
+def test_member_handles_duplicate_leaves():
+    # a tree built from a raw collection may hold equal vectors; a query
+    # equal to them is a member, and union keeps a member shared by both
+    # operands, since equal copies do not strictly dominate each other
     tree = build_kdtree([(1, 1), (1, 1)])
     assert member_kdtree(tree, (1, 1)) is True
     a = Antichain([(1, 1), (2, 0)])

@@ -24,7 +24,15 @@ from downset.parity import (
     synthesize_even_strategy,
     zielonka,
 )
-from util import cpre_step, dfs_postorder, rand_game, reference_solve, reference_strategy, self_loops
+from util import (
+    cpre_step,
+    dfs_postorder,
+    rand_game,
+    reference_solve,
+    reference_strategy,
+    relabel,
+    self_loops,
+)
 
 # hand-traced reference games
 G_ODD_LOOP = ParityGame([1], [1], [[0]], [0])          # odd self-loop, priority 1
@@ -246,16 +254,16 @@ def test_worklist_counts_are_pinned():
 
 
 def test_fixpoint_order_independence():
+    # the reference, seeded in other orders, reaches the fixpoint the solve
+    # reaches from its depth-first postorder
     rng = random.Random(67)
     for _ in range(40):
         g = rand_game(rng, rng.randint(1, 7), 5, 3)
-        base = solve(g)
-        rev = solve(g, order=list(reversed(range(len(g)))))
+        base = [a.vectors for a in solve(g).final]
         shuffled = list(range(len(g)))
         rng.shuffle(shuffled)
-        shuf = solve(g, order=shuffled)
-        assert [a.vectors for a in rev.final] == [a.vectors for a in base.final]
-        assert [a.vectors for a in shuf.final] == [a.vectors for a in base.final]
+        for order in (list(reversed(range(len(g)))), shuffled):
+            assert [a.vectors for a in reference_solve(g, order=order).final] == base
 
 
 def test_backend_invariance():
@@ -269,31 +277,22 @@ def test_backend_invariance():
             assert [a.vectors for a in other.final] == [a.vectors for a in base.final]
 
 
-def test_solve_rejects_an_order_that_is_not_a_permutation():
-    # a vertex left out of the order would never be refined, and the
-    # strategy would find no kept image for it
-    g = ParityGame([0, 1, 0], [2, 1, 0], [[1], [2], [0]], [0, 1, 2])
-    for order in ([0, 1], [0, 1, 1], [0, 1, 2, 2], [0, 1, 3]):
-        with pytest.raises(ValueError):
-            solve(g, order=order)
-    r = solve(g, order=[2, 0, 1])
-    assert synthesize_even_strategy(g, r) == synthesize_even_strategy(g, solve(g))
-
-
 @pytest.mark.parametrize("backend", ["list", "kdtree", "sharingtree", "cst", "adaptive"])
 def test_solve_matches_reference_solver(backend):
-    # the reference intersects with the old downset and recomputes every image
+    # the reference intersects with the old downset and recomputes every
+    # image; a relabelled game is solved in another order, to the same winners
     rng = random.Random(83)
     for _ in range(30):
         g = rand_game(rng, rng.randint(1, 8), 7, 3)
-        order = list(range(len(g)))
-        rng.shuffle(order)
-        for o in (None, order):
-            r = solve(g, backend=backend, order=o)
-            ref = reference_solve(g, backend=backend, order=o)
+        perm = list(range(len(g)))
+        rng.shuffle(perm)
+        for game in (g, relabel(g, perm)):
+            r = solve(game, backend=backend)
+            ref = reference_solve(game, backend=backend)
             assert r.winners == ref.winners
             assert [a.vectors for a in r.final] == [a.vectors for a in ref.final]
             assert r.iterations == ref.iterations
+        assert [r.winners[perm[v]] for v in range(len(g))] == solve(g).winners
 
 
 def test_solve_counts_and_reuses_its_images(monkeypatch):

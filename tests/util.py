@@ -250,6 +250,18 @@ def rand_game(rng, nv, maxp, maxdeg):
     return ParityGame(owners, prios, succs, list(range(nv)))
 
 
+def relabel(game, perm):
+    """The game with vertex ``v`` renamed ``perm[v]``, successor lists in
+    their order: the same game, searched and refined in another order."""
+    nv = len(game)
+    owners, prios, succs = [0] * nv, [0] * nv, [None] * nv
+    for v in range(nv):
+        owners[perm[v]] = game.owners[v]
+        prios[perm[v]] = game.priorities[v]
+        succs[perm[v]] = [perm[w] for w in game.succs[v]]
+    return ParityGame(owners, prios, succs, list(range(nv)))
+
+
 def self_loops(n):
     """n vertices, each with a self-loop and its own priority 0..n-1: the
     attractor decomposition nests once per priority."""
