@@ -15,7 +15,7 @@ changes which algorithm runs.
 
 The maximal-element reduction picks its kernel by the number of distinct
 vectors alone.  Below ``_BITSET_MIN`` = 32, as in the parity solver's
-images of 1 to 7 vectors, it runs the pairwise scan, which counts its
+images of 1 to 4 vectors, it runs the pairwise scan, which counts its
 scalar comparisons.  From 32 on (large meet sets of :func:`intersect`,
 parsing) it runs a word-parallel bitset kernel (after Tan, Eng & Ooi,
 VLDB 2001): one sort and one pass per coordinate, O(k·m) big-int

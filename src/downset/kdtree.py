@@ -45,8 +45,9 @@ from .core import Antichain, DimensionMismatch, Stats, Vector
 
 
 class KdSplit:
-    """Internal node: ``value`` is the split coordinate's median value.
-    A leaf is its vector, the tuple itself.
+    """Internal node: ``value`` is the split coordinate's median value and
+    ``dim`` the length of the vectors below it.  A leaf is its vector, the
+    tuple itself.
 
     ``left_allows_equal`` records whether the left subtree received vectors
     whose split coordinate equals the median (possible only with repeated
@@ -58,11 +59,13 @@ class KdSplit:
     ``right`` split it on access, as the search does.
     """
 
-    __slots__ = ("value", "depth", "_left", "_right", "left_allows_equal")
+    __slots__ = ("value", "depth", "dim", "_left", "_right", "left_allows_equal")
 
-    def __init__(self, value: int, depth: int, left: list, right: list, left_allows_equal: bool):
+    def __init__(self, value: int, depth: int, dim: int, left: list, right: list,
+                 left_allows_equal: bool):
         self.value = value
         self.depth = depth
+        self.dim = dim
         self._left = left
         self._right = right
         self.left_allows_equal = left_allows_equal
@@ -89,13 +92,14 @@ def _split(vectors: list, depth: int):
     p = len(vectors)
     if p == 1:
         return vectors[0]
-    i = depth % len(vectors[0])
+    k = len(vectors[0])
+    i = depth % k
     # stable, so ties keep the list's order: the first h go left, the
     # median is the first on the right
     order = sorted(vectors, key=itemgetter(i))
     h = p // 2
     mu = order[h][i]
-    return KdSplit(mu, depth, order[:h], order[h:], order[h - 1][i] == mu)
+    return KdSplit(mu, depth, k, order[:h], order[h:], order[h - 1][i] == mu)
 
 
 def build_kdtree(source):
@@ -195,13 +199,11 @@ def _search(node, st: _Search) -> bool:
 
 
 def tree_dim(tree) -> Optional[int]:
-    """Vector length stored in the tree, or None for the empty tree."""
-    node = tree
-    while type(node) is KdSplit:
-        node = node._left  # read without splitting
-    if node is None:
+    """Vector length stored in the tree, or None for the empty tree; read
+    from the root, which splits nothing."""
+    if tree is None:
         return None
-    return len(node) if type(node) is tuple else len(node[0])
+    return len(tree) if type(tree) is tuple else tree.dim
 
 
 def member_kdtree(tree, u: Vector, stats: Optional[Stats] = None) -> bool:

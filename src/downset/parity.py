@@ -9,11 +9,16 @@ vertices.  Counters are stored shifted by +1 so the antichain machinery
 stays over the naturals; logical -1 is stored 0.
 
 Stepping backwards through a vertex of odd priority 2i-1 decrements
-component i (floored at logical -1); through an even priority 2i it tops
-components 1..i back up to their caps (a dominating even visit resets the
-smaller odd debts).  Iterating the controllable-predecessor refinement from
-the all-caps downset converges to its greatest fixpoint; a vertex is
-even-winning iff its final downset contains a fully non-negative counter.
+component i; through an even priority 2i it tops components 1..i back up to
+their caps (a dominating even visit resets the smaller odd debts).  A
+component that would fall to logical -1 is lost for good: no later step
+raises it again, so a counter with a lost component can never lie below a
+counter without one, and meets and joins keep the component lost.  Such a
+counter is therefore dropped as soon as a backward step makes it, and every
+downset the solver holds is made of live counters only (every component at
+least logical 0, stored at least 1).  Iterating the controllable-predecessor
+refinement from the all-caps downset converges to the live part of its
+greatest fixpoint; a vertex is even-winning iff that part is not empty.
 
 The refinement only ever shrinks a vertex's downset.  The backward update
 is monotone and stays inside the box below the all-caps counter, and union
@@ -54,10 +59,12 @@ every later operation that value takes part in; without it, more than half
 of a solve's builds repeat one it already made.
 
 Hash-consing looks a result up after it is made; it does not change how it
-is made.  A backward image of two or more counters is still reduced by
-``core.maxac``, the package's canonical constructor, which the benchmark's
-tracing counts as canonicalisation; the table only decides which object
-stands for the reduced value.
+is made.  An odd step lowers one component of every surviving counter by
+one, which keeps them pairwise incomparable and in lexicographic order, so
+its image needs no reduction.  An even image of two or more counters is
+still reduced by ``core.maxac``, the package's canonical constructor, which
+the benchmark's tracing counts as canonicalisation; the table only decides
+which object stands for the reduced value.
 
 The module also carries a pgsolver-format parser, co-lexicographic strategy
 extraction for the even player, and an independent Zielonka-style oracle
@@ -216,53 +223,33 @@ def counter_space(game: ParityGame) -> CounterSpace:
     return CounterSpace(d, caps)
 
 
-def bwd_counter(stored: Tuple[int, ...], priority: int, caps: Sequence[int]) -> Tuple[int, ...]:
-    """One-step backward update of a stored counter through a vertex of the
-    given priority; total and saturating on both ends.
-
-    Odd priority 2i-1 decrements component i, flooring at logical -1
-    (stored 0), which is absorbing: once the odd player can force the bad
-    cycle, nothing recovers the component.  Even priority 2i tops the live
-    components 1..i back up to their caps; dead components stay dead, since
-    an even visit ahead of an already-lost continuation does not change the
-    continuation.
-    """
-    if priority % 2 == 1:
-        idx = (priority - 1) // 2
-        s = stored[idx]
-        return stored[:idx] + (s - 1 if s > 0 else 0,) + stored[idx + 1:]
-    i = priority // 2
-    if i == 0:
-        return stored
-    head = [c + 1 if s else 0 for c, s in zip(caps, stored[:i])]
-    return tuple(head) + stored[len(head):]
-
-
 def down_bwd(ac: Antichain, priority: int, space: CounterSpace) -> Antichain:
-    """Closure of the backward image of a counter downset: apply the update
-    to the maximal elements and re-reduce (the update is monotone).
+    """The live part of the backward image of a live counter downset.
 
-    Priority 0 is the identity, so ``ac`` itself is returned; the image of
-    one vector is one vector, so only images of two or more are reduced.
+    Odd priority 2i-1 keeps the counters whose component i is still live
+    after the step (stored above 1) and decrements it; that map is
+    injective and keeps the order and the lexicographic sort, so the image
+    is already an antichain.  Even priority 2i sets components 1..i to
+    their caps (stored ``cap + 1``), and an image of two or more counters
+    is reduced.  Priority 0 is the identity, so ``ac`` itself is returned.
     """
     vectors = ac.vectors
     if priority == 0 or not vectors:
         return ac
+    i = priority // 2
+    if priority % 2:
+        return Antichain._from_maximal(space.d, [c[:i] + (c[i] - 1,) + c[i + 1:]
+                                                 for c in vectors if c[i] > 1])
+    head = tuple([c + 1 for c in space.caps[:i]])
     if len(vectors) == 1:
-        return Antichain._from_maximal(space.d, (bwd_counter(vectors[0], priority, space.caps),))
-    return maxac([bwd_counter(c, priority, space.caps) for c in vectors], dim=space.d)
+        return Antichain._from_maximal(space.d, (head + vectors[0][i:],))
+    return maxac([head + c[i:] for c in vectors], dim=space.d)
 
 
 def initial_counters(space: CounterSpace) -> Antichain:
     """The all-caps downset: the worst still-live situation for the even
     player, one saturated counter per odd priority."""
     return Antichain._from_maximal(space.d, [tuple(c + 1 for c in space.caps)])
-
-
-def _has_nonnegative(ac: Antichain) -> bool:
-    """Does some counter have every component live (stored at least 1)?
-    Stored counters are naturals, so that is a counter without a 0."""
-    return any(0 not in c for c in ac.vectors)
 
 
 def _cpre_vertex(parts: Sequence[Antichain], owner: int, ops) -> Antichain:
@@ -339,7 +326,7 @@ class _SetopTable:
 class SolveResult:
     winners: List[int]            # per vertex: EVEN or ODD
     iterations: int               # vertex refinements performed
-    final: List[Antichain]        # greatest fixpoint of the refinement
+    final: List[Antichain]        # live part of the refinement's greatest fixpoint
     space: CounterSpace
     images: int                   # backward images computed (down_bwd calls)
     backward: List[Dict[int, Antichain]]  # per vertex v: priority p -> down_bwd(final[v], p)
@@ -402,7 +389,8 @@ def solve(game: ParityGame, backend: str = "list") -> SolveResult:
     order, since both operations commute.  ``setops`` counts the backend
     calls, one per stored result, and ``peak_antichain`` is the size of the
     largest value in the intern table, the largest antichain the solve
-    made.  Images are still reduced by ``maxac``; interning happens after.
+    made.  Even images are still reduced by ``maxac``; interning happens
+    after.
     A backend whose operations run over an index module (``ops.index``)
     builds each operand value's index once per solve, through the second
     table; results and per-query counts are those of fresh builds.
@@ -440,7 +428,7 @@ def solve(game: ParityGame, backend: str = "list") -> SolveResult:
                 if not queued[p]:
                     queued[p] = True
                     stack.append(p)
-    winners = [EVEN if _has_nonnegative(mu[v]) else ODD for v in range(nv)]
+    winners = [EVEN if mu[v].vectors else ODD for v in range(nv)]
     return SolveResult(winners, iterations, mu, space, images, cache, ops.calls,
                        max(map(len, interned)))
 
@@ -449,8 +437,9 @@ def synthesize_even_strategy(game: ParityGame, result: SolveResult) -> Dict[int,
     """Positional strategy for the even player on its winning, even-owned
     vertices.
 
-    For each candidate successor, take the best fully non-negative counter
-    guaranteed after stepping back through the current vertex, compared
+    For each candidate successor, take the best counter guaranteed after
+    stepping back through the current vertex (the solve keeps only live
+    counters, every component at least logical 0), compared
     co-lexicographically over the counter components that the current
     priority does not dominate; move to the successor with the greatest
     such guarantee, ties broken by successor order.  The images are the
@@ -467,7 +456,7 @@ def synthesize_even_strategy(game: ParityGame, result: SolveResult) -> Dict[int,
         best_succ = None
         for v in game.succs[u]:
             image = result.backward[v][pu]
-            keys = [tuple([c[i] for i in kept]) for c in image.vectors if 0 not in c]
+            keys = [tuple([c[i] for i in kept]) for c in image.vectors]
             if not keys:
                 continue
             key = max(keys)

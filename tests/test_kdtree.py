@@ -184,6 +184,10 @@ def test_dimension_reads_split_nothing():
     with pytest.raises(DimensionMismatch):
         member_kdtree(tree, (1, 1))
     assert _split_nodes(tree) == 1
+    # a one-vector tree is its leaf tuple, the empty tree None
+    assert [tree_dim(build_kdtree(vs)) for vs in ([(1, 2)], [(1, 2), (2, 1)], [])] == [2, 2, None]
+    with pytest.raises(DimensionMismatch):
+        member_kdtree(build_kdtree([(1, 2)]), (1, 1, 1))
 
 
 def test_concurrent_searches_of_one_fresh_tree_agree():

@@ -6,6 +6,9 @@ pointwise, and the antichain generator and :func:`incomparable` check the
 order by definition, one component pair at a time.  ``tree_leaves``,
 ``cpre_step``, ``reference_solve`` and ``reference_strategy`` instead reach
 into the k-d tree and the parity solver for structural tests.
+``bwd_counter`` and ``full_bwd`` write the counters' backward update out
+in full, counters with a lost component kept, for ``full_fixpoint`` and
+``reference_solve``.
 """
 
 import itertools
@@ -18,7 +21,6 @@ from downset.parity import (
     ODD,
     ParityGame,
     _cpre_vertex,
-    bwd_counter,
     counter_space,
     down_bwd,
     initial_counters,
@@ -132,17 +134,67 @@ def tree_leaves(tree) -> list:
     return out
 
 
-def cpre_step(mu, game, backend="list"):
+def bwd_counter(stored, priority, caps):
+    """One-step backward update of a stored counter through a vertex of the
+    given priority; total and saturating on both ends.
+
+    Odd priority 2i-1 decrements component i, flooring at logical -1
+    (stored 0), which is absorbing: once the odd player can force the bad
+    cycle, nothing recovers the component.  Even priority 2i tops the live
+    components 1..i back up to their caps; dead components stay dead, since
+    an even visit ahead of an already-lost continuation does not change the
+    continuation.
+    """
+    if priority % 2 == 1:
+        idx = (priority - 1) // 2
+        s = stored[idx]
+        return stored[:idx] + (s - 1 if s > 0 else 0,) + stored[idx + 1:]
+    i = priority // 2
+    if i == 0:
+        return stored
+    head = [c + 1 if s else 0 for c, s in zip(caps, stored[:i])]
+    return tuple(head) + stored[len(head):]
+
+
+def full_bwd(ac, priority, space):
+    """The backward image of the whole downset, counters with a lost
+    component kept: ``bwd_counter`` on every member, then ``maxac``."""
+    return maxac([bwd_counter(c, priority, space.caps) for c in ac.vectors], dim=space.d)
+
+
+def live(ac):
+    """The members of ``ac`` with no lost component (none stored 0)."""
+    return tuple(c for c in ac.vectors if 0 not in c)
+
+
+def cpre_step(mu, game, backend="list", image=down_bwd):
     """One synchronous refinement of the whole map, as the solver refines a
-    vertex (no intersection with the old downset); returns the new map and
-    the set of vertices whose downset changed."""
+    vertex (no intersection with the old downset), with ``image`` as the
+    backward image (the solver's by default); returns the new map and the
+    set of vertices whose downset changed."""
     ops = get_backend(backend)
     space = counter_space(game)
-    nu = [_cpre_vertex([down_bwd(mu[v], game.priorities[u], space) for v in game.succs[u]],
+    nu = [_cpre_vertex([image(mu[v], game.priorities[u], space) for v in game.succs[u]],
                        game.owners[u], ops)
           for u in range(len(game))]
     changed = {u for u in range(len(game)) if nu[u] != mu[u]}
     return nu, changed
+
+
+def full_fixpoint(game):
+    """The plain fixpoint over whole downsets: synchronous ``cpre_step``
+    rounds with ``full_bwd`` from the all-caps downset until nothing
+    changes, no counter dropped.  Returns a namespace with ``final``,
+    ``space`` and ``winners`` (even where a final downset has a live
+    member), which ``reference_strategy`` reads with ``image=full_bwd``."""
+    space = counter_space(game)
+    mu = [initial_counters(space)] * len(game)
+    while True:
+        mu, changed = cpre_step(mu, game, image=full_bwd)
+        if not changed:
+            break
+    winners = [EVEN if live(ac) else ODD for ac in mu]
+    return SimpleNamespace(final=mu, space=space, winners=winners)
 
 
 def dfs_postorder(game):
@@ -165,7 +217,8 @@ def dfs_postorder(game):
 
 def reference_solve(game, backend="list", order=None):
     """The worklist solve written out plainly: every backward image is
-    recomputed and reduced at each refinement, and the combined image is
+    recomputed in full by ``bwd_counter``, reduced, and its counters with a
+    lost component dropped at each refinement, and the combined image is
     intersected with the vertex's current downset.  The worklist is a
     stack, ``order[0]`` on top (``order`` defaults to
     :func:`dfs_postorder`), and a change pushes the predecessors not
@@ -195,7 +248,7 @@ def reference_solve(game, backend="list", order=None):
         pu = game.priorities[u]
         parts = []
         for v in game.succs[u]:
-            part = maxac([bwd_counter(c, pu, space.caps) for c in mu[v].vectors], dim=space.d)
+            part = Antichain(live(full_bwd(mu[v], pu, space)), dim=space.d)
             if pu not in backward[v]:
                 backward[v][pu] = part
                 images += 1
@@ -214,15 +267,17 @@ def reference_solve(game, backend="list", order=None):
                 if not queued[p]:
                     queued[p] = True
                     stack.append(p)
-    winners = [EVEN if any(min(c) >= 1 for c in mu[v].vectors) else ODD for v in range(nv)]
+    winners = [EVEN if mu[v].vectors else ODD for v in range(nv)]
     return SimpleNamespace(winners=winners, final=mu, iterations=iterations, images=images,
                            backward=backward, setops=len(pairs))
 
 
-def reference_strategy(game, result):
+def reference_strategy(game, result, image=down_bwd):
     """The even strategy with every backward image recomputed from the final
-    downsets, for comparison with ``parity.synthesize_even_strategy``, which
-    reads the images the solve kept."""
+    downsets by ``image``, for comparison with
+    ``parity.synthesize_even_strategy``, which reads the images the solve
+    kept.  Counters with a lost component are skipped, so whole downsets
+    (``full_fixpoint`` with ``image=full_bwd``) give the same moves."""
     space = result.space
     strategy = {}
     for u in range(len(game)):
@@ -233,7 +288,7 @@ def reference_strategy(game, result):
         best_key = best_succ = None
         for v in game.succs[u]:
             keys = [tuple(c[i] for i in reversed(kept))
-                    for c in down_bwd(result.final[v], pu, space).vectors if min(c) >= 1]
+                    for c in live(image(result.final[v], pu, space))]
             if keys and (best_key is None or max(keys) > best_key):
                 best_key, best_succ = max(keys), v
         strategy[u] = best_succ
