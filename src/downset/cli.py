@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import groupby
 from typing import Optional
 
 from . import bench as bench_mod
@@ -19,9 +18,7 @@ from . import parity as parity_mod
 from .adaptive import BACKEND_NAMES, get_backend
 from .core import (
     Antichain,
-    DimensionMismatch,
     Stats,
-    VectorSetFormatError,
     format_vector_set,
     load_vector_set,
     save_vector_set,
@@ -148,14 +145,13 @@ def cmd_width(args) -> int:
     return 0
 
 
-def _sums_text(sums) -> str:
-    """The sums as a list, each run of more than two consecutive sums
-    written ``lo..hi``: a grid whose layers all tie prints one short line."""
-    parts: list = []
-    for _, run in groupby(enumerate(sums), lambda t: t[1] - t[0]):
-        run = [s for _, s in run]
-        parts += [f"{run[0]}..{run[-1]}"] if len(run) > 2 else map(str, run)
-    return "[" + ", ".join(parts) + "]"
+def _sums_text(sums: range) -> str:
+    """The argmax sums, one run of consecutive sums, as a list written
+    ``lo..hi`` when the run is longer than two: a grid whose layers all tie
+    prints one short line."""
+    if len(sums) > 2:
+        return f"[{sums[0]}..{sums[-1]}]"
+    return "[" + ", ".join(map(str, sums)) + "]"
 
 
 def cmd_conjecture(args) -> int:
@@ -275,9 +271,9 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (CliError, DimensionMismatch, VectorSetFormatError,
-            parity_mod.ParityParseError, comb.GridTooLarge,
-            bench_mod.InfeasibleBench, ValueError, OSError) as exc:
+    # the package's input errors (DimensionMismatch, VectorSetFormatError,
+    # ParityParseError, GridTooLarge, InfeasibleBench) are ValueErrors
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

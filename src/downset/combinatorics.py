@@ -113,7 +113,7 @@ class MiddleLayerReport:
     ell: int
     width: int
     max_layer_size: int
-    argmax_sums: tuple  # every sum value achieving the maximum layer size
+    argmax_sums: range  # every sum value achieving the maximum layer size
     equal: bool
     stated_sum: int     # floor(ell*d/2)
     midpoint_sum: int   # floor((ell-1)*d/2), midpoint of the realizable sums
@@ -128,8 +128,9 @@ def check_middle_layer_conjecture(d: int, ell: int) -> MiddleLayerReport:
     are symmetric about the midpoint and log-concave, hence unimodal with a
     plateau only at the top, so they rise to the midpoint, whose layer is
     the largest.  A bisection finds the lowest sum whose layer is as large,
-    and the sums from it to its mirror image are the argmax: O(log(ell*d))
-    ``layer_size`` calls instead of one per sum.
+    and the sums from it to its mirror image are the argmax, one run kept
+    as a ``range``: O(log(ell*d)) ``layer_size`` calls instead of one per
+    sum, and no entry per sum.
     """
     w = width(d, ell)
     top = (ell - 1) * d
@@ -139,7 +140,7 @@ def check_middle_layer_conjecture(d: int, ell: int) -> MiddleLayerReport:
         ell=ell,
         width=w,
         max_layer_size=w,
-        argmax_sums=tuple(range(lo, top - lo + 1)),
+        argmax_sums=range(lo, top - lo + 1),
         equal=True,
         stated_sum=(ell * d) // 2,
         midpoint_sum=top // 2,

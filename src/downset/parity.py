@@ -4,21 +4,20 @@ Vertices carry priorities; the even player wins a play iff the maximum
 priority seen infinitely often is even.  The solver tracks, per vertex, a
 downset of counter vectors over the odd priorities: component i is the
 number of further visits to priority 2i-1 vertices the even player can
-still afford, ranging over [-1, n_i] where n_i is the number of such
-vertices.  Counters are stored shifted by +1 so the antichain machinery
-stays over the naturals; logical -1 is stored 0.
+still afford, from 0 up to its cap n_i, the number of such vertices.
+Counters are stored at face value.
 
 Stepping backwards through a vertex of odd priority 2i-1 decrements
 component i; through an even priority 2i it tops components 1..i back up to
 their caps (a dominating even visit resets the smaller odd debts).  A
-component that would fall to logical -1 is lost for good: no later step
-raises it again, so a counter with a lost component can never lie below a
-counter without one, and meets and joins keep the component lost.  Such a
-counter is therefore dropped as soon as a backward step makes it, and every
-downset the solver holds is made of live counters only (every component at
-least logical 0, stored at least 1).  Iterating the controllable-predecessor
-refinement from the all-caps downset converges to the live part of its
-greatest fixpoint; a vertex is even-winning iff that part is not empty.
+component that would fall below 0 is lost for good: no later step raises
+it again, so a counter with a lost component can never lie below a counter
+without one, and meets and joins keep the component lost.  Such a counter
+is therefore dropped as soon as a backward step would make it, and every
+downset the solver holds is made of live counters only, each component
+between 0 and its cap.  Iterating the controllable-predecessor refinement
+from the all-caps downset converges to the live part of its greatest
+fixpoint; a vertex is even-winning iff that part is not empty.
 
 The refinement only ever shrinks a vertex's downset.  The backward update
 is monotone and stays inside the box below the all-caps counter, and union
@@ -207,49 +206,44 @@ def format_pgsolver(game: ParityGame) -> str:
 # Counter downsets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CounterSpace:
-    """Shifted counter domain: component i (0-based) tracks odd priority
-    2(i+1)-1; stored values range over [0, caps[i]+1], logical = stored-1."""
-
-    d: int
-    caps: Tuple[int, ...]
-
-
-def counter_space(game: ParityGame) -> CounterSpace:
+def counter_space(game: ParityGame) -> Tuple[int, ...]:
+    """The caps: per odd priority 2i-1, i = 1..d, the number of vertices
+    that carry it, where d is at least 1.  Component i-1 of a counter
+    ranges over [0, caps[i-1]]; an odd priority no vertex has gives cap 0,
+    a component that stays 0."""
     maxp = max(game.priorities)
     d = max(1, (maxp + 1) // 2)
-    caps = tuple(map(game.priorities.count, range(1, 2 * d, 2)))
-    return CounterSpace(d, caps)
+    return tuple(map(game.priorities.count, range(1, 2 * d, 2)))
 
 
-def down_bwd(ac: Antichain, priority: int, space: CounterSpace) -> Antichain:
+def down_bwd(ac: Antichain, priority: int, caps: Tuple[int, ...]) -> Antichain:
     """The live part of the backward image of a live counter downset.
 
-    Odd priority 2i-1 keeps the counters whose component i is still live
-    after the step (stored above 1) and decrements it; that map is
-    injective and keeps the order and the lexicographic sort, so the image
-    is already an antichain.  Even priority 2i sets components 1..i to
-    their caps (stored ``cap + 1``), and an image of two or more counters
-    is reduced.  Priority 0 is the identity, so ``ac`` itself is returned.
+    Odd priority 2i-1 keeps the counters whose component i is above 0 and
+    decrements it; that map is injective and keeps the order and the
+    lexicographic sort, so the image is already an antichain.  Even
+    priority 2i sets components 1..i to ``caps[:i]``, and an image of two
+    or more counters is reduced.  Priority 0 is the identity, so ``ac``
+    itself is returned.
     """
     vectors = ac.vectors
     if priority == 0 or not vectors:
         return ac
     i = priority // 2
     if priority % 2:
-        return Antichain._from_maximal(space.d, [c[:i] + (c[i] - 1,) + c[i + 1:]
-                                                 for c in vectors if c[i] > 1])
-    head = tuple([c + 1 for c in space.caps[:i]])
+        return Antichain._from_maximal(len(caps), [c[:i] + (c[i] - 1,) + c[i + 1:]
+                                                   for c in vectors if c[i]])
+    head = caps[:i]
     if len(vectors) == 1:
-        return Antichain._from_maximal(space.d, (head + vectors[0][i:],))
-    return maxac([head + c[i:] for c in vectors], dim=space.d)
+        return Antichain._from_maximal(len(caps), (head + vectors[0][i:],))
+    return maxac([head + c[i:] for c in vectors], dim=len(caps))
 
 
-def initial_counters(space: CounterSpace) -> Antichain:
-    """The all-caps downset: the worst still-live situation for the even
-    player, one saturated counter per odd priority."""
-    return Antichain._from_maximal(space.d, [tuple(c + 1 for c in space.caps)])
+def initial_counters(caps: Tuple[int, ...]) -> Antichain:
+    """The all-caps downset, the caps vector its one member: the worst
+    still-live situation for the even player, one saturated counter per
+    odd priority."""
+    return Antichain._from_maximal(len(caps), (caps,))
 
 
 def _cpre_vertex(parts: Sequence[Antichain], owner: int, ops) -> Antichain:
@@ -327,7 +321,7 @@ class SolveResult:
     winners: List[int]            # per vertex: EVEN or ODD
     iterations: int               # vertex refinements performed
     final: List[Antichain]        # live part of the refinement's greatest fixpoint
-    space: CounterSpace
+    caps: Tuple[int, ...]         # counter_space(game)
     images: int                   # backward images computed (down_bwd calls)
     backward: List[Dict[int, Antichain]]  # per vertex v: priority p -> down_bwd(final[v], p)
     setops: int                   # unions and intersections the backend ran
@@ -398,9 +392,9 @@ def solve(game: ParityGame, backend: str = "list") -> SolveResult:
     interned: Dict[tuple, Antichain] = {}
     intern = interned.setdefault
     ops = _SetopTable(get_backend(backend), intern)
-    space = counter_space(game)
+    caps = counter_space(game)
     nv = len(game)
-    init = initial_counters(space)
+    init = initial_counters(caps)
     mu: List[Antichain] = [intern(init.vectors, init)] * nv
     cache: List[Dict[int, Antichain]] = [{} for _ in range(nv)]
     preds = game.predecessors()
@@ -416,7 +410,7 @@ def solve(game: ParityGame, backend: str = "list") -> SolveResult:
         for v in game.succs[u]:
             image = cache[v].get(pu)
             if image is None:
-                image = down_bwd(mu[v], pu, space)
+                image = down_bwd(mu[v], pu, caps)
                 image = cache[v][pu] = intern(image.vectors, image)
                 images += 1
             parts.append(image)
@@ -429,7 +423,7 @@ def solve(game: ParityGame, backend: str = "list") -> SolveResult:
                     queued[p] = True
                     stack.append(p)
     winners = [EVEN if mu[v].vectors else ODD for v in range(nv)]
-    return SolveResult(winners, iterations, mu, space, images, cache, ops.calls,
+    return SolveResult(winners, iterations, mu, caps, images, cache, ops.calls,
                        max(map(len, interned)))
 
 
@@ -439,19 +433,19 @@ def synthesize_even_strategy(game: ParityGame, result: SolveResult) -> Dict[int,
 
     For each candidate successor, take the best counter guaranteed after
     stepping back through the current vertex (the solve keeps only live
-    counters, every component at least logical 0), compared
-    co-lexicographically over the counter components that the current
-    priority does not dominate; move to the successor with the greatest
-    such guarantee, ties broken by successor order.  The images are the
-    ones the solve kept (``result.backward``), so none is computed again.
+    counters), compared co-lexicographically over the counter components
+    that the current priority does not dominate; move to the successor with
+    the greatest such guarantee, ties broken by successor order.  The
+    images are the ones the solve kept (``result.backward``), so none is
+    computed again.
     """
-    space = result.space
+    d = len(result.caps)
     strategy: Dict[int, int] = {}
     for u in range(len(game)):
         if game.owners[u] != EVEN or result.winners[u] != EVEN:
             continue
         pu = game.priorities[u]
-        kept = [i for i in reversed(range(space.d)) if 2 * (i + 1) >= pu]
+        kept = [i for i in reversed(range(d)) if 2 * (i + 1) >= pu]
         best_key = None
         best_succ = None
         for v in game.succs[u]:

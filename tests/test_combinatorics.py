@@ -101,10 +101,10 @@ def test_layers_are_antichains():
 
 def test_middle_layer_reports():
     r = check_middle_layer_conjecture(2, 3)
-    assert (r.width, r.max_layer_size, r.argmax_sums, r.equal) == (3, 3, (2,), True)
+    assert (r.width, r.max_layer_size, r.argmax_sums, r.equal) == (3, 3, range(2, 3), True)
     r = check_middle_layer_conjecture(3, 2)
     assert (r.width, r.max_layer_size, r.equal) == (3, 3, True)
-    assert r.argmax_sums == (1, 2)
+    assert r.argmax_sums == range(1, 3)
     r = check_middle_layer_conjecture(1, 5)
     assert (r.width, r.max_layer_size, r.equal) == (1, 1, True)
 
@@ -115,9 +115,13 @@ def test_middle_layer_report_matches_a_full_scan():
             top = (ell - 1) * d
             sizes = [layer_size(d, ell, s) for s in range(top + 1)]
             best = max(sizes)
-            assert check_middle_layer_conjecture(d, ell) == MiddleLayerReport(
+            argmax = tuple(s for s, n in enumerate(sizes) if n == best)
+            r = check_middle_layer_conjecture(d, ell)
+            # the scan's argmax is one run of sums, which the report keeps as a range
+            assert tuple(r.argmax_sums) == argmax
+            assert r == MiddleLayerReport(
                 d=d, ell=ell, width=width(d, ell), max_layer_size=best,
-                argmax_sums=tuple(s for s, n in enumerate(sizes) if n == best),
+                argmax_sums=range(argmax[0], argmax[-1] + 1),
                 equal=width(d, ell) == best, stated_sum=ell * d // 2, midpoint_sum=top // 2)
 
 
@@ -132,7 +136,7 @@ def test_middle_layer_report_bisects(monkeypatch):
 
     monkeypatch.setattr(combinatorics, "layer_size", counted)
     r = check_middle_layer_conjecture(1, 4096)
-    assert r.argmax_sums == tuple(range(4096)) and r.max_layer_size == 1
+    assert r.argmax_sums == range(4096) and r.max_layer_size == 1
     assert len(calls) <= 2 * math.ceil(math.log2(4095)) + 3
 
 

@@ -351,6 +351,10 @@ def test_set_ops_algebra():
         assert intersect_list(a, a) == a
         assert union_list(union_list(a, b), c) == union_list(a, union_list(b, c))
         assert intersect_list(intersect_list(a, b), c) == intersect_list(a, intersect_list(b, c))
+        # Antichain._from_maximal keeps its input's order, so the results
+        # must come to it strictly ascending
+        for result in (union_list(a, b), intersect_list(a, b), union_list(b, c), intersect_list(a, c)):
+            assert all(u < v for u, v in zip(result.vectors, result.vectors[1:]))
 
 
 def test_member_list_agrees_with_enumeration():

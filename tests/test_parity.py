@@ -10,7 +10,6 @@ from downset import Antichain
 from downset.parity import (
     EVEN,
     ODD,
-    CounterSpace,
     ParityGame,
     ParityParseError,
     _postorder,
@@ -30,11 +29,13 @@ from util import (
     full_bwd,
     full_fixpoint,
     live,
+    live_bwd,
     rand_game,
     reference_solve,
     reference_strategy,
     relabel,
     self_loops,
+    shifted,
 )
 
 # hand-traced reference games
@@ -82,10 +83,10 @@ def test_parse_errors(text, fragment):
 
 
 def test_counter_space():
-    assert counter_space(G_ESCAPE) == CounterSpace(1, (1,))
+    assert counter_space(G_ESCAPE) == (1,)
     g = ParityGame([0, 1, 0], [1, 3, 4], [[1], [2], [0]], [0, 1, 2])
-    assert counter_space(g) == CounterSpace(2, (1, 1))
-    assert counter_space(ParityGame([0], [0], [[0]], [0])) == CounterSpace(1, (0,))
+    assert counter_space(g) == (1, 1)
+    assert counter_space(ParityGame([0], [0], [[0]], [0])) == (0,)
 
 
 def test_bwd_counter_odd_decrement_and_floor():
@@ -120,26 +121,24 @@ def test_bwd_counter_even_top_up_matches_the_min_formula():
 
 
 def test_initial_counters_examples():
-    assert initial_counters(CounterSpace(1, (1,))).vectors == ((2,),)
-    assert initial_counters(CounterSpace(2, (2, 1))).vectors == ((3, 2),)
-    assert initial_counters(CounterSpace(1, (0,))).vectors == ((1,),)
+    assert initial_counters((1,)).vectors == ((1,),)
+    assert initial_counters((2, 1)).vectors == ((2, 1),)
+    assert initial_counters((0,)).vectors == ((0,),)
 
 
 def test_down_bwd_reduces_to_antichain():
-    space = CounterSpace(2, (2, 2))
-    ac = Antichain([(3, 1), (1, 3)])
-    out = down_bwd(ac, 4, space)  # both saturate to the caps, merge
-    assert out.vectors == ((3, 3),)
+    ac = Antichain([(2, 0), (0, 2)])
+    out = down_bwd(ac, 4, (2, 2))  # both saturate to the caps, merge
+    assert out.vectors == ((2, 2),)
 
 
 def test_cpre_example_odd_self_loop():
-    space = counter_space(G_ODD_LOOP)
-    mu = [initial_counters(space)]
+    mu = [initial_counters(counter_space(G_ODD_LOOP))]
     nu, changed = cpre_step(mu, G_ODD_LOOP)
     assert changed == {0}
-    assert nu[0].vectors == ((1,),)  # logical 0
+    assert nu[0].vectors == ((0,),)
     nu2, _ = cpre_step(nu, G_ODD_LOOP)
-    assert nu2[0].vectors == ()  # logical -1 is dropped
+    assert nu2[0].vectors == ()  # a component below 0 is dropped
     nu3, changed3 = cpre_step(nu2, G_ODD_LOOP)
     assert not changed3
 
@@ -150,12 +149,12 @@ def test_down_bwd_is_the_live_part_of_the_full_image():
     rng = random.Random(131)
     for _ in range(300):
         d = rng.randint(1, 4)
-        space = CounterSpace(d, tuple(rng.randint(0, 3) for _ in range(d)))
-        ac = Antichain([tuple(rng.randint(1, c + 1) for c in space.caps)
+        caps = tuple(rng.randint(0, 3) for _ in range(d))
+        ac = Antichain([tuple(rng.randint(0, c) for c in caps)
                         for _ in range(rng.randint(1, 6))], dim=d)
         for priority in range(2 * d + 1):
-            out = down_bwd(ac, priority, space)
-            assert out.vectors == live(full_bwd(ac, priority, space))
+            out = down_bwd(ac, priority, caps)
+            assert out.vectors == live_bwd(shifted(ac), priority, caps).vectors
             assert out == Antichain(out.vectors, dim=d)
 
 
@@ -163,8 +162,7 @@ def test_cpre_monotone_descent():
     rng = random.Random(2)
     for _ in range(25):
         g = rand_game(rng, rng.randint(1, 6), 5, 3)
-        space = counter_space(g)
-        mu = [initial_counters(space)] * len(g)
+        mu = [initial_counters(counter_space(g))] * len(g)
         for _ in range(6):
             nu, changed = cpre_step(mu, g)
             for v in range(len(g)):
@@ -317,9 +315,9 @@ def test_solve_matches_reference_solver(backend):
 def test_solve_counts_and_reuses_its_images(monkeypatch):
     computed, used = [], []
 
-    def counted_image(ac, priority, space):
+    def counted_image(ac, priority, caps):
         computed.append(priority)
-        return down_bwd(ac, priority, space)
+        return down_bwd(ac, priority, caps)
 
     def counted_cpre(parts, owner, ops):
         used.extend(parts)
@@ -406,8 +404,8 @@ def test_solve_reports_its_peak_antichain(backend, monkeypatch):
             return result
         return op
 
-    def counted_image(ac, priority, space):
-        image = down_bwd(ac, priority, space)
+    def counted_image(ac, priority, caps):
+        image = down_bwd(ac, priority, caps)
         sizes.append(len(image))
         return image
 
@@ -465,7 +463,7 @@ def test_strategy_reads_the_images_the_solve_kept(backend, monkeypatch):
         for u in range(len(g)):
             for v in g.succs[u]:
                 p = g.priorities[u]
-                assert r.backward[v][p].vectors == down_bwd(r.final[v], p, r.space).vectors
+                assert r.backward[v][p].vectors == down_bwd(r.final[v], p, r.caps).vectors
     expected = [reference_strategy(g, r) for g, r in zip(games, results)]
 
     def no_image(*args):
@@ -478,10 +476,10 @@ def test_strategy_reads_the_images_the_solve_kept(backend, monkeypatch):
 
 def test_all_even_priorities_degenerate_caps():
     g = ParityGame([1, 0], [2, 0], [[1], [0]], [0, 1])
-    space = counter_space(g)
-    assert space.caps == (0,)
+    assert counter_space(g) == (0,)
     r = solve(g)
     assert r.winners == [EVEN, EVEN]
+    assert r.caps == (0,) and [a.vectors for a in r.final] == [((0,),), ((0,),)]
     strat = synthesize_even_strategy(g, r)
     assert check_even_strategy(g, r.winners, strat)
 
@@ -492,8 +490,7 @@ def test_dead_positions_never_recover():
     rng = random.Random(79)
     for _ in range(20):
         g = rand_game(rng, rng.randint(1, 6), 5, 3)
-        space = counter_space(g)
-        mu = [initial_counters(space)] * len(g)
+        mu = [shifted(initial_counters(counter_space(g)))] * len(g)
         dead = [False] * len(g)
         for _ in range(12):
             mu, changed = cpre_step(mu, g, image=full_bwd)
@@ -522,12 +519,17 @@ def test_solve_is_the_live_part_of_the_full_fixpoint():
             gone = rng.choice([1, 3, 5])
             prios = [p + 1 if p == gone else p for p in prios]
         g = ParityGame(g.owners, prios, g.succs, g.ids)
-        space = counter_space(g)
-        kind = "all-even" if not any(space.caps) else "cap-0" if 0 in space.caps else "any"
+        caps = counter_space(g)
+        kind = "all-even" if not any(caps) else "cap-0" if 0 in caps else "any"
         kinds[kind] += 1
+        assert initial_counters(caps).vectors == (caps,)
         r = solve(g)
+        assert r.caps == caps
+        # every counter the solve keeps is at face value, inside [0, caps]
+        for ac in r.final + [image for kept in r.backward for image in kept.values()]:
+            assert all(0 <= s <= cap for c in ac.vectors for s, cap in zip(c, caps))
         full = full_fixpoint(g)
         assert [a.vectors for a in r.final] == [live(a) for a in full.final]
         assert r.winners == full.winners
-        assert synthesize_even_strategy(g, r) == reference_strategy(g, full, image=full_bwd)
+        assert synthesize_even_strategy(g, r) == reference_strategy(g, full, image=live_bwd)
     assert min(kinds.values()) >= 10

@@ -8,7 +8,10 @@ order by definition, one component pair at a time.  ``tree_leaves``,
 into the k-d tree and the parity solver for structural tests.
 ``bwd_counter`` and ``full_bwd`` write the counters' backward update out
 in full, counters with a lost component kept, for ``full_fixpoint`` and
-``reference_solve``.
+``reference_solve``.  To keep a lost component (logical -1) among the
+naturals, they work on counters shifted by +1 (``shifted``), where a lost
+component is stored 0; ``live`` takes the live members back to the face
+value the solver stores.
 """
 
 import itertools
@@ -135,7 +138,7 @@ def tree_leaves(tree) -> list:
 
 
 def bwd_counter(stored, priority, caps):
-    """One-step backward update of a stored counter through a vertex of the
+    """One-step backward update of a shifted counter through a vertex of the
     given priority; total and saturating on both ends.
 
     Odd priority 2i-1 decrements component i, flooring at logical -1
@@ -156,15 +159,27 @@ def bwd_counter(stored, priority, caps):
     return tuple(head) + stored[len(head):]
 
 
-def full_bwd(ac, priority, space):
-    """The backward image of the whole downset, counters with a lost
+def full_bwd(ac, priority, caps):
+    """The backward image of a whole shifted downset, counters with a lost
     component kept: ``bwd_counter`` on every member, then ``maxac``."""
-    return maxac([bwd_counter(c, priority, space.caps) for c in ac.vectors], dim=space.d)
+    return maxac([bwd_counter(c, priority, caps) for c in ac.vectors], dim=len(caps))
+
+
+def shifted(ac):
+    """A face-value downset in the shifted domain: every component + 1."""
+    return Antichain._from_maximal(ac.dim, [tuple(s + 1 for s in c) for c in ac.vectors])
 
 
 def live(ac):
-    """The members of ``ac`` with no lost component (none stored 0)."""
-    return tuple(c for c in ac.vectors if 0 not in c)
+    """The members of a shifted downset with no lost component (none
+    stored 0), at face value: every component - 1."""
+    return tuple(tuple(s - 1 for s in c) for c in ac.vectors if 0 not in c)
+
+
+def live_bwd(ac, priority, caps):
+    """The live part of ``full_bwd`` on a shifted downset, at face value:
+    what ``down_bwd`` keeps of the image."""
+    return Antichain(live(full_bwd(ac, priority, caps)), dim=len(caps))
 
 
 def cpre_step(mu, game, backend="list", image=down_bwd):
@@ -173,8 +188,8 @@ def cpre_step(mu, game, backend="list", image=down_bwd):
     backward image (the solver's by default); returns the new map and the
     set of vertices whose downset changed."""
     ops = get_backend(backend)
-    space = counter_space(game)
-    nu = [_cpre_vertex([image(mu[v], game.priorities[u], space) for v in game.succs[u]],
+    caps = counter_space(game)
+    nu = [_cpre_vertex([image(mu[v], game.priorities[u], caps) for v in game.succs[u]],
                        game.owners[u], ops)
           for u in range(len(game))]
     changed = {u for u in range(len(game)) if nu[u] != mu[u]}
@@ -182,19 +197,20 @@ def cpre_step(mu, game, backend="list", image=down_bwd):
 
 
 def full_fixpoint(game):
-    """The plain fixpoint over whole downsets: synchronous ``cpre_step``
-    rounds with ``full_bwd`` from the all-caps downset until nothing
-    changes, no counter dropped.  Returns a namespace with ``final``,
-    ``space`` and ``winners`` (even where a final downset has a live
-    member), which ``reference_strategy`` reads with ``image=full_bwd``."""
-    space = counter_space(game)
-    mu = [initial_counters(space)] * len(game)
+    """The plain fixpoint over whole shifted downsets: synchronous
+    ``cpre_step`` rounds with ``full_bwd`` from the all-caps downset until
+    nothing changes, no counter dropped.  Returns a namespace with
+    ``final`` (shifted), ``caps`` and ``winners`` (even where a final
+    downset has a live member), which ``reference_strategy`` reads with
+    ``image=live_bwd``."""
+    caps = counter_space(game)
+    mu = [shifted(initial_counters(caps))] * len(game)
     while True:
         mu, changed = cpre_step(mu, game, image=full_bwd)
         if not changed:
             break
     winners = [EVEN if live(ac) else ODD for ac in mu]
-    return SimpleNamespace(final=mu, space=space, winners=winners)
+    return SimpleNamespace(final=mu, caps=caps, winners=winners)
 
 
 def dfs_postorder(game):
@@ -217,10 +233,10 @@ def dfs_postorder(game):
 
 def reference_solve(game, backend="list", order=None):
     """The worklist solve written out plainly: every backward image is
-    recomputed in full by ``bwd_counter``, reduced, and its counters with a
-    lost component dropped at each refinement, and the combined image is
-    intersected with the vertex's current downset.  The worklist is a
-    stack, ``order[0]`` on top (``order`` defaults to
+    recomputed in full by ``bwd_counter`` over the shifted downset, reduced,
+    and its counters with a lost component dropped at each refinement, and
+    the combined image is intersected with the vertex's current downset.
+    The worklist is a stack, ``order[0]`` on top (``order`` defaults to
     :func:`dfs_postorder`), and a change pushes the predecessors not
     already on it.
 
@@ -232,9 +248,9 @@ def reference_solve(game, backend="list", order=None):
     distinct unordered pairs of unequal operand values each operation
     combined (the intersection with the old downset left out)."""
     ops = get_backend(backend)
-    space = counter_space(game)
+    caps = counter_space(game)
     nv = len(game)
-    mu = [initial_counters(space)] * nv
+    mu = [initial_counters(caps)] * nv
     backward = [{} for _ in range(nv)]
     preds = game.predecessors()
     stack = list(reversed(order if order is not None else dfs_postorder(game)))
@@ -248,7 +264,7 @@ def reference_solve(game, backend="list", order=None):
         pu = game.priorities[u]
         parts = []
         for v in game.succs[u]:
-            part = Antichain(live(full_bwd(mu[v], pu, space)), dim=space.d)
+            part = live_bwd(shifted(mu[v]), pu, caps)
             if pu not in backward[v]:
                 backward[v][pu] = part
                 images += 1
@@ -274,21 +290,21 @@ def reference_solve(game, backend="list", order=None):
 
 def reference_strategy(game, result, image=down_bwd):
     """The even strategy with every backward image recomputed from the final
-    downsets by ``image``, for comparison with
-    ``parity.synthesize_even_strategy``, which reads the images the solve
-    kept.  Counters with a lost component are skipped, so whole downsets
-    (``full_fixpoint`` with ``image=full_bwd``) give the same moves."""
-    space = result.space
+    downsets by ``image``, which gives the image's live part at face value,
+    for comparison with ``parity.synthesize_even_strategy``, which reads the
+    images the solve kept.  Whole shifted downsets (``full_fixpoint`` with
+    ``image=live_bwd``) give the same moves."""
+    caps = result.caps
     strategy = {}
     for u in range(len(game)):
         if game.owners[u] != EVEN or result.winners[u] != EVEN:
             continue
         pu = game.priorities[u]
-        kept = [i for i in range(space.d) if 2 * (i + 1) >= pu]
+        kept = [i for i in range(len(caps)) if 2 * (i + 1) >= pu]
         best_key = best_succ = None
         for v in game.succs[u]:
             keys = [tuple(c[i] for i in reversed(kept))
-                    for c in live(image(result.final[v], pu, space))]
+                    for c in image(result.final[v], pu, caps).vectors]
             if keys and (best_key is None or max(keys) > best_key):
                 best_key, best_succ = max(keys), v
         strategy[u] = best_succ
