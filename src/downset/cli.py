@@ -133,10 +133,7 @@ def cmd_solve_parity(args) -> int:
 
 
 def cmd_count(args) -> int:
-    if args.dim == 2:
-        print(comb.count_2d(args.ell, args.n))
-    else:
-        print(comb.count_antichains(args.dim, args.ell, args.n))
+    print(comb.count(args.dim, args.ell, args.n))
     return 0
 
 

@@ -4,8 +4,11 @@ The grid [ell]^d holds vectors with components in {0, ..., ell-1}.  In two
 dimensions an antichain of size n is a strictly increasing sequence paired
 with a strictly decreasing one, which gives the closed forms
 ``binom(ell, n)**2`` per size and ``binom(2*ell, ell)`` in total (the empty
-antichain included).  Higher dimensions are handled by explicit enumeration
-with dominance pruning, guarded by a grid-size limit.
+antichain included).  In three dimensions the antichains are the
+downsets, which are the plane partitions in an ell x ell x ell box, counted
+by MacMahon's box formula.  Other counts are made by explicit enumeration
+with dominance pruning, guarded by a grid-size limit and an antichain
+limit.
 
 The width of the grid (maximum antichain cardinality) is the size of its
 middle constant-sum layer.  Vectors of equal component sum are pairwise
@@ -26,10 +29,13 @@ from typing import Iterator, Optional
 from .core import Antichain, leq
 
 GRID_POINT_LIMIT = 2 ** 20
+# [4]^3's 232,848 antichains fit; enumerating this many takes seconds
+ANTICHAIN_LIMIT = 2 ** 18
 
 
 class GridTooLarge(ValueError):
-    """Enumeration endpoints refuse grids beyond GRID_POINT_LIMIT points."""
+    """Enumeration endpoints refuse grids beyond GRID_POINT_LIMIT points,
+    and enumerated counts stop past ANTICHAIN_LIMIT antichains."""
 
 
 def _check_grid(d: int, ell: int) -> None:
@@ -49,6 +55,39 @@ def count_2d(ell: int, n: Optional[int] = None) -> int:
     if n < 0 or n > ell:
         raise ValueError(f"size {n} impossible in [{ell}]^2 (0 <= n <= ell)")
     return comb(ell, n) ** 2
+
+
+def count_3d(ell: int) -> int:
+    """Number of antichains in [ell]^3, by MacMahon's box formula.
+
+    An antichain is the set of maximal points of a downset, and a downset
+    of [ell]^3 is a plane partition in an ell x ell x ell box, of which
+    there are the product over i, j, k in 1..ell of
+    (i+j+k-1)/(i+j+k-2).  The product over k telescopes to
+    (i+j+ell-1)/(i+j-1), so ell^2 factors remain.
+    """
+    _check_grid(3, ell)
+    num = den = 1
+    for i in range(1, ell + 1):
+        for s in range(i + 1, i + ell + 1):  # s = i + j
+            num *= s + ell - 1
+            den *= s - 1
+    return num // den
+
+
+def count(d: int, ell: int, n: Optional[int] = None) -> int:
+    """Number of antichains in [ell]^d, of size ``n`` if given: by closed
+    form where one is known (d = 1, d = 2, and d = 3 without a size), by
+    ``count_antichains`` otherwise."""
+    if d == 1:  # a chain: the empty antichain and the ell single points
+        if ell < 1:
+            raise ValueError("ell must be at least 1")
+        return {None: ell + 1, 0: 1, 1: ell}.get(n, 0)
+    if d == 2:
+        return count_2d(ell, n)
+    if d == 3 and n is None:
+        return count_3d(ell)
+    return count_antichains(d, ell, n)
 
 
 def grid_points(d: int, ell: int) -> list:
@@ -80,10 +119,25 @@ def enumerate_antichains(d: int, ell: int) -> Iterator[tuple]:
 
 
 def count_antichains(d: int, ell: int, n: Optional[int] = None) -> int:
-    """Exact antichain count by enumeration; any d, guarded grid size."""
-    if n is None:
-        return sum(1 for _ in enumerate_antichains(d, ell))
-    return sum(1 for a in enumerate_antichains(d, ell) if len(a) == n)
+    """Exact antichain count by enumeration; any d, guarded grid size.
+
+    Stops with ``GridTooLarge`` once the grid has more than
+    ANTICHAIN_LIMIT antichains, whatever ``n``: at once if every subset
+    of a largest antichain already makes more (2^width of them), else
+    after enumerating that many.
+    """
+    refusal = GridTooLarge(f"grid [{ell}]^{d} has more than {ANTICHAIN_LIMIT} antichains, "
+                           f"limit is {ANTICHAIN_LIMIT}")
+    if 2 ** width(d, ell) > ANTICHAIN_LIMIT:
+        raise refusal
+    enumerated = found = 0
+    for a in enumerate_antichains(d, ell):
+        enumerated += 1
+        if enumerated > ANTICHAIN_LIMIT:
+            raise refusal
+        if n is None or len(a) == n:
+            found += 1
+    return found
 
 
 def layer_size(d: int, ell: int, s: int) -> int:

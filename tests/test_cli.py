@@ -203,6 +203,25 @@ def test_width_and_conjecture_answer_large_grids_quickly():
     assert err == "error: grid [2]^21 has 2097152 points, limit is 1048576\n"
 
 
+def test_count_answers_large_grids_quickly_or_refuses():
+    # one process per command with a 10 s timeout: d = 3 is MacMahon's box
+    # formula and d = 1 is ell + 1; an enumerated count past the antichain
+    # limit is an error message, not a traceback or a search that never ends
+    def cli(*argv):
+        proc = subprocess.run([sys.executable, "-m", "downset.cli", *map(str, argv)],
+                              capture_output=True, text=True, timeout=10)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert cli("count", "--dim", 3, "--ell", 5) == (0, "267227532\n", "")
+    assert cli("count", "--dim", 3, "--ell", 3) == (0, "980\n", "")
+    assert cli("count", "--dim", 1, "--ell", 1000000) == (0, "1000001\n", "")
+    for argv in (["--dim", 3, "--ell", 5, "--n", 2], ["--dim", 4, "--ell", 3]):
+        code, out, err = cli("count", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: grid [") and err.endswith(
+            " has more than 262144 antichains, limit is 262144\n")
+
+
 def test_conjecture_prints_a_run_of_tied_sums_as_a_range(capsys):
     # for d=1 every layer has one point, so every sum ties for the maximum;
     # a run of more than two consecutive sums prints as lo..hi
@@ -238,7 +257,9 @@ def test_solve_parity_output_and_check(capsys, tmp_path):
 
 
 def test_solve_parity_stats_flag_leaves_output_unchanged(capsys, tmp_path):
-    text = "parity 3;\n0 3 1 0,1;\n1 2 0 0,2;\n2 1 1 1,3;\n3 0 0 2;\n"
+    # a game whose solve still sends a union or intersection to the backend:
+    # neither operand is empty or all-caps
+    text = "parity 3;\n0 1 0 0,2;\n1 3 1 1,3;\n2 2 0 0,1;\n3 1 0 0,1;\n"
     pg = tmp_path / "g.pg"
     pg.write_text(text)
     code, plain, plain_err = run_main(capsys, ["solve-parity", pg])

@@ -12,7 +12,9 @@ from downset.combinatorics import (
     GridTooLarge,
     MiddleLayerReport,
     check_middle_layer_conjecture,
+    count,
     count_2d,
+    count_3d,
     count_antichains,
     enumerate_antichains,
     grid_points,
@@ -143,6 +145,43 @@ def test_middle_layer_report_bisects(monkeypatch):
 def test_grid_guard():
     with pytest.raises(GridTooLarge):
         count_antichains(32, 4)
+
+
+def test_count_3d_is_macmahons_box_formula():
+    # downsets of [ell]^3 are the plane partitions in an ell^3 box
+    for ell in (1, 2, 3):
+        assert count_3d(ell) == count_antichains(3, ell)
+    assert [count_3d(ell) for ell in range(1, 6)] == [2, 20, 980, 232848, 267227532]
+    with pytest.raises(GridTooLarge):
+        count_3d(102)
+
+
+def test_count_takes_the_closed_forms_and_enumerates_the_rest():
+    for d, ell in [(1, 1), (1, 4), (2, 1), (2, 3), (3, 1), (3, 2), (4, 2), (5, 2)]:
+        for n in [None] + list(range(width(d, ell) + 2)):
+            if d == 2 and n is not None and n > ell:
+                continue  # count_2d refuses an impossible size
+            assert count(d, ell, n) == count_antichains(d, ell, n), (d, ell, n)
+    # one vector per point in one dimension: no enumeration of ell^2 pairs
+    assert count(1, 10 ** 6) == 10 ** 6 + 1 and count(1, 10 ** 6, 1) == 10 ** 6
+    assert count(3, 5) == 267227532
+
+
+def test_enumerated_counts_stop_past_the_antichain_limit(monkeypatch):
+    # [5]^3 has a 19-vector antichain, so more than 2^19 antichains: refused
+    # before enumerating, whatever the size asked for
+    for n in (None, 2):
+        with pytest.raises(GridTooLarge, match="more than 262144 antichains"):
+            count_antichains(3, 5, n)
+    with pytest.raises(GridTooLarge):
+        count_antichains(4, 3)
+    # [2]^3 has 20 antichains: at the limit they are counted, one below it
+    # the enumeration stops
+    monkeypatch.setattr(combinatorics, "ANTICHAIN_LIMIT", 20)
+    assert count_antichains(3, 2) == 20 and count_antichains(3, 2, 2) == 9
+    monkeypatch.setattr(combinatorics, "ANTICHAIN_LIMIT", 19)
+    with pytest.raises(GridTooLarge, match="more than 19 antichains"):
+        count_antichains(3, 2, 2)
 
 
 def test_random_antichain_determinism_and_invariants():

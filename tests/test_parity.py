@@ -260,14 +260,16 @@ def test_solve_on_a_thousand_vertices_does_not_recurse():
 
 def test_worklist_counts_are_pinned():
     # the successor-first stack over the depth-first postorder, over live
-    # counters only; carrying the lost counters along made 4,518 refinements
-    # and 2,411 backend setops on the same games, and the FIFO queue over
-    # range(nv) before that 5,341 and 2,999
+    # counters only, with a union or intersection that has an empty or
+    # all-caps operand answered without the backend; sending those to the
+    # backend made 1,429 setops, carrying the lost counters along made 4,518
+    # refinements and 2,411 backend setops on the same games, and the FIFO
+    # queue over range(nv) before that 5,341 and 2,999
     rng = random.Random(109)
     games = [rand_game(rng, rng.randint(2, 12), 7, 3) for _ in range(200)]
     results = [solve(g) for g in games]
     assert sum(r.iterations for r in results) == 3704
-    assert sum(r.setops for r in results) == 1429
+    assert sum(r.setops for r in results) == 576
 
 
 def test_fixpoint_order_independence():
@@ -308,7 +310,7 @@ def test_solve_matches_reference_solver(backend):
             ref = reference_solve(game, backend=backend)
             assert r.winners == ref.winners
             assert [a.vectors for a in r.final] == [a.vectors for a in ref.final]
-            assert r.iterations == ref.iterations
+            assert (r.iterations, r.images, r.setops) == (ref.iterations, ref.images, ref.setops)
         assert [r.winners[perm[v]] for v in range(len(g))] == solve(g).winners
 
 
@@ -368,6 +370,74 @@ def test_solve_combines_each_pair_once(backend, monkeypatch):
         assert r.setops == len(calls)
         total += len(calls)
     assert total > 0
+
+
+@pytest.mark.parametrize("backend", ["list", "kdtree", "sharingtree", "cst", "adaptive"])
+def test_solve_answers_empty_and_all_caps_operands_itself(backend, monkeypatch):
+    # every downset the solve makes lies below the caps vector, so the
+    # empty downset and the all-caps one are the bottom and the top of its
+    # lattice, and a union or intersection with either is known without
+    # the backend: none reaches it, as an operation (list, adaptive) or as
+    # an index build (kdtree, sharingtree, cst), on ordinary games, on
+    # all-even games (every cap 0, every downset the top) and on all-odd
+    # games (the odd player wins everywhere, every downset ends empty)
+    ops = adaptive.BACKENDS[backend]
+    caps = None
+    made = []
+
+    def check(ac):
+        assert ac.vectors and ac.vectors != (caps,), "a known operand reached the backend"
+
+    def counted(run):
+        def op(a, b, stats=None):
+            check(a)
+            check(b)
+            result = run(a, b, stats)
+            made.append(result)
+            return result
+        return op
+
+    def counted_build(ac):
+        check(ac)
+        return build(ac)
+
+    def counted_image(ac, priority, caps):
+        image = down_bwd(ac, priority, caps)
+        made.append(image)
+        return image
+
+    if ops.index is None:
+        monkeypatch.setitem(adaptive.BACKENDS, backend, adaptive.BackendOps(
+            backend, ops.member, counted(ops.union), counted(ops.intersect)))
+    else:
+        build = ops.index.build
+        monkeypatch.setattr(ops.index, "build", counted_build)
+    monkeypatch.setattr(parity_mod, "down_bwd", counted_image)
+    rng = random.Random(139)
+    kinds = {"any": 0, "all-even": 0, "all-odd": 0}
+    setops = 0
+    for n in range(210):
+        g = rand_game(rng, rng.randint(2, 10), 7, 3)
+        kind = ("any", "all-even", "all-odd")[n % 3]
+        if kind != "any":
+            prios = [p - p % 2 if kind == "all-even" else p | 1 for p in g.priorities]
+            g = ParityGame(g.owners, prios, g.succs, g.ids)
+        caps = counter_space(g)
+        made[:] = [initial_counters(caps)]
+        r = solve(g, backend=backend)
+        assert r.winners == zielonka(g)
+        if kind == "all-even":
+            assert not any(caps) and r.winners == [EVEN] * len(g) and r.setops == 0
+        elif kind == "all-odd":
+            assert r.winners == [ODD] * len(g)
+        kinds[kind] += 1
+        setops += r.setops
+        # the values the solve interns (the initial counters, its images
+        # and the backend's results) all lie below the caps vector, which
+        # is why the all-caps downset is the top
+        for ac in made:
+            assert all(s <= cap for c in ac.vectors for s, cap in zip(c, caps))
+    assert min(kinds.values()) == 70 and setops > 0
 
 
 @pytest.mark.parametrize("backend", ["list", "kdtree", "sharingtree", "cst", "adaptive"])

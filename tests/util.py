@@ -246,11 +246,14 @@ def reference_solve(game, backend="list", order=None):
     the vertex's current downset, and ``images`` counts those first
     images; a change at the vertex forgets them.  ``setops`` counts the
     distinct unordered pairs of unequal operand values each operation
-    combined (the intersection with the old downset left out)."""
+    combined, leaving out the intersection with the old downset and every
+    pair with an empty or all-caps operand, whose result the solve knows
+    without the backend."""
     ops = get_backend(backend)
     caps = counter_space(game)
     nv = len(game)
     mu = [initial_counters(caps)] * nv
+    top = (caps,)
     backward = [{} for _ in range(nv)]
     preds = game.predecessors()
     stack = list(reversed(order if order is not None else dfs_postorder(game)))
@@ -272,8 +275,9 @@ def reference_solve(game, backend="list", order=None):
         kind = "union" if game.owners[u] == EVEN else "intersect"
         combined = parts[0]
         for part in parts[1:]:
-            if combined.vectors != part.vectors:
-                pairs.add((kind, frozenset((combined.vectors, part.vectors))))
+            operands = (combined.vectors, part.vectors)
+            if operands[0] != operands[1] and all(a and a != top for a in operands):
+                pairs.add((kind, frozenset(operands)))
             combined = getattr(ops, kind)(combined, part)
         new = ops.intersect(mu[u], combined)
         if new != mu[u]:
