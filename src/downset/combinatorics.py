@@ -52,8 +52,8 @@ def count_2d(ell: int, n: Optional[int] = None) -> int:
         raise ValueError("ell must be at least 1")
     if n is None:
         return comb(2 * ell, ell)
-    if n < 0 or n > ell:
-        raise ValueError(f"size {n} impossible in [{ell}]^2 (0 <= n <= ell)")
+    if n < 0:
+        raise ValueError(f"size {n} is negative")
     return comb(ell, n) ** 2
 
 
@@ -122,14 +122,20 @@ def count_antichains(d: int, ell: int, n: Optional[int] = None) -> int:
     """Exact antichain count by enumeration; any d, guarded grid size.
 
     Stops with ``GridTooLarge`` once the grid has more than
-    ANTICHAIN_LIMIT antichains, whatever ``n``: at once if every subset
-    of a largest antichain already makes more (2^width of them), else
-    after enumerating that many.
+    ANTICHAIN_LIMIT antichains, whatever ``n``: at once if the subsets of
+    its constant-sum layers already make more, else after enumerating that
+    many.  Each layer is an antichain, and a non-empty subset of one layer
+    is a subset of no other, so the grid has at least
+    1 + sum over s of (2^L_s - 1) antichains, L_s the size of layer s.
     """
     refusal = GridTooLarge(f"grid [{ell}]^{d} has more than {ANTICHAIN_LIMIT} antichains, "
                            f"limit is {ANTICHAIN_LIMIT}")
-    if 2 ** width(d, ell) > ANTICHAIN_LIMIT:
-        raise refusal
+    _check_grid(d, ell)
+    at_least = 1  # the empty antichain
+    for s in range((ell - 1) * d + 1):
+        at_least += 2 ** layer_size(d, ell, s) - 1
+        if at_least > ANTICHAIN_LIMIT:
+            raise refusal
     enumerated = found = 0
     for a in enumerate_antichains(d, ell):
         enumerated += 1

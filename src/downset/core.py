@@ -293,8 +293,6 @@ class DownsetIndex(Protocol):
     The backend modules ``kdtree``, ``sharingtree`` and ``cst`` are passed
     as the index themselves: the functions are looked up on every call, so
     a wrapper installed on the module sees each build made and each query.
-    A parity solve passes its own index over the backend's module, which
-    builds each operand value once (``parity._SetopTable``).
     """
 
     def build(self, ac: Antichain): ...

@@ -58,13 +58,9 @@ the empty downset is the bottom of its lattice and the all-caps downset,
 interned first, is the top: the union of either with x is x or the top,
 the intersection the empty downset or x.  Every odd-winning vertex ends
 empty and every vertex starts at the top, so on 3,000 random games of
-12-14 vertices these pairs are more than half of the remaining ones.  On
-the backends whose operations build an index of each operand (k-d tree,
-sharing tree, CST), the pair table is also the solve's index: it keeps
-each operand's index under the operand's ``id``, so each value's index is
-built once and queried for every later operation that value takes part
-in; without it, more than half of a solve's builds repeat one it already
-made.
+12-14 vertices these pairs are more than half of the remaining ones.
+Every other pair goes to the backend's registry operations, those the CLI
+runs; a tree backend builds both operands' indexes on each call.
 
 Hash-consing looks a result up after it is made; it does not change how it
 is made.  An odd step lowers one component of every surviving counter by
@@ -82,11 +78,10 @@ used by tests and the CLI's --check mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .adaptive import get_backend
-from .core import Antichain, intersect, maxac, union
+from .core import Antichain, maxac
 
 EVEN = 0
 ODD = 1
@@ -290,21 +285,12 @@ class _SetopTable:
     instead of both operands' nested vector tuples.  A result is
     hash-consed through ``intern`` before it is kept, and ``calls`` counts
     the backend calls, one per kept result.
-
-    A backend that runs over an index module (``ops.index``) runs here as
-    ``core.union`` and ``core.intersect`` over the table itself: ``build``
-    keeps each operand's index under the operand's ``id`` and ``member`` is
-    the module's, so each value's index is built once per solve.
     """
 
     def __init__(self, ops, intern, top: Antichain) -> None:
         self.calls = 0
-        run_union, run_intersect = ops.union, ops.intersect
-        if ops.index is not None:
-            self._build, self.member, self._built = ops.index.build, ops.index.member, {}
-            run_union, run_intersect = partial(union, self), partial(intersect, self)
-        union_pair = self._combiner(run_union, intern)
-        intersect_pair = self._combiner(run_intersect, intern)
+        union_pair = self._combiner(ops.union, intern)
+        intersect_pair = self._combiner(ops.intersect, intern)
 
         def union_(a: Antichain, b: Antichain) -> Antichain:
             if a is top or not b.vectors:
@@ -322,16 +308,12 @@ class _SetopTable:
 
         self.union, self.intersect = union_, intersect_
 
-    def build(self, ac: Antichain):
-        # Every operand is an interned object, which the intern table holds
-        # until the solve returns, so no other value can take over its id.
-        key = id(ac)
-        if key not in self._built:
-            self._built[key] = self._build(ac)
-        return self._built[key]
-
     def _combiner(self, run, intern):
-        """The operation ``run`` of the backend, bound once, over the table."""
+        """The operation ``run`` of the backend, bound once, over the table.
+
+        Every operand is an interned object, which the intern table holds
+        until the solve returns, so no other value can take over its id.
+        """
         results: Dict[Tuple[int, int], Antichain] = {}
 
         def combine(a: Antichain, b: Antichain) -> Antichain:
@@ -423,9 +405,6 @@ def solve(game: ParityGame, backend: str = "list") -> SolveResult:
     largest value in the intern table, the largest antichain the solve
     made.  Even images are still reduced by ``maxac``; interning happens
     after.
-    A backend whose operations run over an index module (``ops.index``)
-    builds each operand value's index once per solve, through the second
-    table; results and per-query counts are those of fresh builds.
     """
     interned: Dict[tuple, Antichain] = {}
     intern = interned.setdefault

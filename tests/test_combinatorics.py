@@ -1,7 +1,10 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +32,9 @@ def test_count_2d_examples():
     assert count_2d(2) == 6
     assert count_2d(2, 1) == 4
     assert count_2d(3) == 20
+    assert count_2d(3, 4) == 0  # no antichain of [3]^2 has 4 points
     with pytest.raises(ValueError):
-        count_2d(3, 4)
+        count_2d(3, -1)
 
 
 def test_enumeration_examples():
@@ -159,8 +163,6 @@ def test_count_3d_is_macmahons_box_formula():
 def test_count_takes_the_closed_forms_and_enumerates_the_rest():
     for d, ell in [(1, 1), (1, 4), (2, 1), (2, 3), (3, 1), (3, 2), (4, 2), (5, 2)]:
         for n in [None] + list(range(width(d, ell) + 2)):
-            if d == 2 and n is not None and n > ell:
-                continue  # count_2d refuses an impossible size
             assert count(d, ell, n) == count_antichains(d, ell, n), (d, ell, n)
     # one vector per point in one dimension: no enumeration of ell^2 pairs
     assert count(1, 10 ** 6) == 10 ** 6 + 1 and count(1, 10 ** 6, 1) == 10 ** 6
@@ -182,6 +184,29 @@ def test_enumerated_counts_stop_past_the_antichain_limit(monkeypatch):
     monkeypatch.setattr(combinatorics, "ANTICHAIN_LIMIT", 19)
     with pytest.raises(GridTooLarge, match="more than 19 antichains"):
         count_antichains(3, 2, 2)
+
+
+_REFUSE_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from downset.combinatorics import GridTooLarge, count_antichains
+for d, ell in ((1, 2 ** 18), (2, 18)):
+    try:
+        count_antichains(d, ell)
+    except GridTooLarge:
+        continue
+    raise SystemExit(f"[{ell}]^{d} was counted")
+"""
+
+
+def test_enumerated_counts_refuse_long_chains_and_wide_squares_at_once():
+    # [2^18]^1 has 2^18 + 1 antichains and [18]^2 more than 2^18, though
+    # a largest antichain of either has at most 18 points; enumerating
+    # them takes from seconds to minutes, and the subsets of their layers
+    # refuse both before any enumeration
+    package_root = str(Path(combinatorics.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", _REFUSE_SCRIPT, package_root],
+                   capture_output=True, text=True, timeout=5, check=True)
 
 
 def test_random_antichain_determinism_and_invariants():

@@ -308,8 +308,7 @@ def test_union_queries_only_unshared_members(inner):
 
 
 class _MemoIndex:
-    """An index that builds each antichain value once and keeps the build,
-    as a parity solve keeps one per operand."""
+    """An index that builds each antichain value once and keeps the build."""
 
     def __init__(self, inner):
         self.inner = inner
