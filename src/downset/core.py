@@ -431,9 +431,10 @@ def parse_vector_set(text: str) -> Antichain:
 
 
 def format_vector_set(ac: Antichain) -> str:
-    row = " ".join(["%d"] * ac.dim)
     lines = [f"dim {ac.dim}"]
-    lines.extend([row % v for v in ac.vectors])
+    if ac.vectors:
+        row = " ".join(["%d"] * ac.dim)
+        lines.extend([row % v for v in ac.vectors])
     return "\n".join(lines) + "\n"
 
 

@@ -30,8 +30,11 @@ contain a dominator are pruned by comparing the split value against the
 query coordinate.  The search tries the right child first and returns at
 the first dominator it finds, so a member query pays for the path to that
 dominator and the branches tried before it; a left branch after a hit is
-neither tested nor split.  A leaf is tested in place by the one-way scan of
-``core.member_list``, counted as there, so a query allocates nothing more.
+neither tested nor split.  It is one loop with no recursion: an explicit
+stack holds each split where it went right, with the bound and counter to
+restore when a miss backs up to try that split's left branch.  A leaf is
+tested in place by the one-way scan of ``core.member_list``, counted as
+there, so a query allocates nothing more.
 Membership is the tree's only query: ``core.union`` and ``core.intersect``
 need no other.
 """
@@ -128,74 +131,73 @@ def tree_height(tree) -> int:
     return 1 + max(tree_height(tree.left), tree_height(tree.right))
 
 
-class _Search:
-    """Per-query mutable state: region lower bounds, the pending-coordinate
-    counter, and instrumentation."""
-
-    __slots__ = ("u", "k", "lb", "c", "visits", "comps")
-
-    def __init__(self, u: Vector):
-        self.u = u
-        self.k = len(u)
-        self.lb = [0] * self.k
-        self.c = len([x for x in u if x > 0])
-        self.visits = 0
-        self.comps = 0
-
-
-def _search(node, st: _Search) -> bool:
-    st.visits += 1
-    u = st.u
-    if type(node) is tuple:
+def _search(tree, u: Vector, stats: Optional[Stats]) -> bool:
+    """Is there a dominator of ``u`` in the non-empty ``tree``?  One loop
+    over the nodes, right child first; ``stack`` holds a frame
+    ``(node, i, old, c)`` for each split where the search went right, and a
+    miss resumes at the innermost frame whose left region can still hold a
+    dominator."""
+    k = len(u)
+    lb = [0] * k
+    c = len([x for x in u if x > 0])
+    visits = comps = 0
+    stack = []
+    node = tree
+    while True:
+        visits += 1
+        if type(node) is KdSplit:
+            i = node.depth % k
+            mu = node.value
+            old = lb[i]
+            stack.append((node, i, old, c))
+            # descend right: the right region's bound on coordinate i rises to mu
+            if mu > old:
+                comps += 3
+                lb[i] = mu
+                if old < u[i] <= mu:
+                    c -= 1
+            else:
+                comps += 1
+            if c == 0:
+                # every vector in the right region dominates u
+                found = True
+                break
+            right = node._right
+            if type(right) is list:  # first descent: split the pending child
+                right = node._right = _split(right, node.depth + 1)
+            node = right
+            continue
         # the one-way scan of core.member_list, with its count
-        v = node
-        k = st.k
         j = 0
-        while j < k and u[j] <= v[j]:
+        while j < k and u[j] <= node[j]:
             j += 1
         if j == k:
-            st.comps += k
-            return True
-        st.comps += j + 1
-        return False
-    lb = st.lb
-    i = node.depth % st.k
-    mu = node.value
-    ui = u[i]
-    old = lb[i]
-    # descend right: the right region's bound on coordinate i rises to mu
-    c = st.c
-    if mu > old:
-        st.comps += 3
-        lb[i] = mu
-        if old < ui <= mu:
-            st.c = c - 1
-    else:
-        st.comps += 1
-    if st.c == 0:
-        # every vector in the right region dominates u
-        lb[i] = old
-        st.c = c
-        return True
-    right = node._right
-    if type(right) is list:  # first descent: split the pending child
-        right = node._right = _split(right, node.depth + 1)
-    found = _search(right, st)
-    lb[i] = old
-    st.c = c
-    if found:
-        # the first dominator answers the query, so a member query pays for
-        # the path to it and the branches tried before; the left branch
-        # here is neither tested nor split
-        return True
-    st.comps += 1
-    if ui < mu or (ui == mu and node.left_allows_equal):
-        # the left region can still contain a dominator of u
-        left = node._left
-        if type(left) is list:
-            left = node._left = _split(left, node.depth + 1)
-        return _search(left, st)
-    return False
+            # the first dominator answers the query, so a member query pays
+            # for the path to it and the branches tried before; no left
+            # branch on that path is tested or split
+            comps += k
+            found = True
+            break
+        comps += j + 1
+        while stack:
+            node, i, old, c = stack.pop()
+            lb[i] = old
+            comps += 1
+            ui = u[i]
+            if ui < node.value or (ui == node.value and node.left_allows_equal):
+                # the left region can still contain a dominator of u
+                left = node._left
+                if type(left) is list:
+                    left = node._left = _split(left, node.depth + 1)
+                node = left
+                break
+        else:
+            found = False
+            break
+    if stats is not None:
+        stats.comparisons += comps
+        stats.node_visits += visits
+    return found
 
 
 def tree_dim(tree) -> Optional[int]:
@@ -213,12 +215,7 @@ def member_kdtree(tree, u: Vector, stats: Optional[Stats] = None) -> bool:
     u = tuple(u)
     if len(u) != tree_dim(tree):
         raise DimensionMismatch("query length does not match tree dimension")
-    st = _Search(u)
-    result = _search(tree, st)
-    if stats is not None:
-        stats.comparisons += st.comps
-        stats.node_visits += st.visits
-    return result
+    return _search(tree, u, stats)
 
 
 # The downset index protocol (core.DownsetIndex) of this backend.

@@ -38,29 +38,31 @@ over the vertex indices, and 29 % fewer unions and intersections when
 every pair of unequal operands went to the backend.
 
 Within one solve, every downset is hash-consed (Filliâtre & Conchon, ML
-2006): the initial counters, each backward image and each union or
-intersection result is looked up in a table of the values the solve has
-made so far, keyed on ``vectors``, and replaced by the object already
-there, so each value is one object for the whole solve.  Value equality is
-then identity.  A vertex's downset changed exactly when the new one is
-another object, and each union and intersection runs on the backend at
-most once per pair of operand objects: a table that lives for the solve
-keeps each result under the two operands' ``id`` in increasing order, both
-operations commuting, so the pair is unordered and is hashed as two ints,
-not as two nested vector tuples.  Images of different vertices are often
-equal, and an unchanged image meets the same partners again at every later
-refinement of its predecessor, so many pairs repeat.
+2006): the initial counters, the empty downset, each backward image and
+each union or intersection result is looked up in a table of the values
+the solve has made so far, keyed on ``vectors``, and replaced by the
+object already there, so each value is one object for the whole solve.
+Value equality is then identity.  A vertex's downset changed exactly when
+the new one is another object.
 
-Some pairs need no backend at all.  An operand met with itself is its own
-union and intersection.  Every downset the solve holds lies below the caps
-vector (the even step raises components to their caps, never past), so
-the empty downset is the bottom of its lattice and the all-caps downset,
-interned first, is the top: the union of either with x is x or the top,
-the intersection the empty downset or x.  Every odd-winning vertex ends
-empty and every vertex starts at the top, so on 3,000 random games of
-12-14 vertices these pairs are more than half of the remaining ones.
-Every other pair goes to the backend's registry operations, those the CLI
-runs; a tree backend builds both operands' indexes on each call.
+Union and intersection are one memoised combine each (``_memo``).  Every
+downset the solve holds lies below the caps vector (the even step raises
+components to their caps, never past), so the all-caps downset ``top``
+and the empty one ``bottom``, the first two values interned, are the top
+and bottom of its lattice.  Some pairs then need no backend at all: an
+operand met with itself is its own union and intersection, ``top``
+absorbs a union and ``bottom`` an intersection, and the other one is
+neutral.  Every odd-winning vertex ends empty and every vertex starts at
+the top, so on 3,000 random games of 12-14 vertices these pairs are more
+than half of those the solve combines.  Every other pair runs once per
+solve on the backend's registry operations, those the CLI runs (a tree
+backend builds both operands' indexes on each call), and its result is
+kept in that operation's table under the two operands' ``id`` in
+increasing order: both operations commute, so the pair is unordered and
+is hashed as two ints, not as two nested vector tuples.  Images of
+different vertices are often equal, and an unchanged image meets the same
+partners again at every later refinement of its predecessor, so many
+pairs repeat.
 
 Hash-consing looks a result up after it is made; it does not change how it
 is made.  An odd step lowers one component of every surviving counter by
@@ -77,7 +79,7 @@ used by tests and the CLI's --check mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .adaptive import get_backend
@@ -266,69 +268,30 @@ def _cpre_vertex(parts: Sequence[Antichain], owner: int, ops) -> Antichain:
     return combined
 
 
-class _SetopTable:
-    """A backend's union and intersection for one solve, each run at most
-    once per unordered pair of operand values whose result is not known
-    beforehand (see ``solve``).
+def _memo(run, intern, absorbing, neutral, results: Dict[Tuple[int, int], Antichain]):
+    """The backend operation ``run``, commutative, over the solve's
+    interned downsets: x ∘ x = x, absorbing ∘ x = absorbing and
+    neutral ∘ x = x answer without the backend, and any other pair runs
+    it once.  Its interned result is kept in ``results`` under the two
+    operands' ``id`` in increasing order.
 
-    Every downset the solve holds lies below the caps vector, so its
-    lattice has the bottom ∅ and the top ``top``, the all-caps downset.
-    Four identities then give a result without the backend: ∅ ∪ x = x and
-    top ∪ x = top, ∅ ∩ x = ∅ and top ∩ x = x.  ∅ is tested by ``not
-    x.vectors``, ``top`` by identity, which holds because it is the first
-    value the solve interns.
-
-    The operands are the solve's hash-consed downsets, one object per
-    ``vectors`` value, so equal operands are one object and a pair of
-    values is a pair of objects.  Each operation keeps its results under
-    the two operands' ``id`` in increasing order: Python hashes two ints
-    instead of both operands' nested vector tuples.  A result is
-    hash-consed through ``intern`` before it is kept, and ``calls`` counts
-    the backend calls, one per kept result.
+    Every operand is an interned object, which the intern table holds
+    until the solve returns, so no other value can take over its id.
     """
+    def combine(a: Antichain, b: Antichain) -> Antichain:
+        if a is b or a is absorbing or b is neutral:
+            return a
+        if b is absorbing or a is neutral:
+            return b
+        i, j = id(a), id(b)
+        key = (i, j) if i < j else (j, i)
+        result = results.get(key)
+        if result is None:
+            result = run(a, b)
+            result = results[key] = intern(result.vectors, result)
+        return result
 
-    def __init__(self, ops, intern, top: Antichain) -> None:
-        self.calls = 0
-        union_pair = self._combiner(ops.union, intern)
-        intersect_pair = self._combiner(ops.intersect, intern)
-
-        def union_(a: Antichain, b: Antichain) -> Antichain:
-            if a is top or not b.vectors:
-                return a
-            if b is top or not a.vectors:
-                return b
-            return union_pair(a, b)
-
-        def intersect_(a: Antichain, b: Antichain) -> Antichain:
-            if b is top or not a.vectors:
-                return a
-            if a is top or not b.vectors:
-                return b
-            return intersect_pair(a, b)
-
-        self.union, self.intersect = union_, intersect_
-
-    def _combiner(self, run, intern):
-        """The operation ``run`` of the backend, bound once, over the table.
-
-        Every operand is an interned object, which the intern table holds
-        until the solve returns, so no other value can take over its id.
-        """
-        results: Dict[Tuple[int, int], Antichain] = {}
-
-        def combine(a: Antichain, b: Antichain) -> Antichain:
-            if a is b:
-                return a
-            i, j = id(a), id(b)
-            key = (i, j) if i < j else (j, i)
-            result = results.get(key)
-            if result is None:
-                result = run(a, b)
-                result = results[key] = intern(result.vectors, result)
-                self.calls += 1
-            return result
-
-        return combine
+    return combine
 
 
 @dataclass
@@ -391,27 +354,30 @@ def solve(game: ParityGame, backend: str = "list") -> SolveResult:
     here and dropped on return: the initial counters, each image and each
     union or intersection result is replaced by the first object made with
     its ``vectors``, so one value is one object.  A refinement changes
-    ``mu[u]`` when the new downset is another object (``is not``), and
-    unions and intersections go through a second table.  The all-caps
-    downset ``top`` is interned first, so it is the one object of its
-    value, and every downset lies below it, since no backward step raises
-    a component past its cap.  A union or intersection with
-    the empty downset or ``top`` is answered by the lattice identities
-    (∅ ∪ x = x, top ∪ x = top, ∅ ∩ x = ∅, top ∩ x = x), an operand met
-    with itself is given back, and any other pair is sent to the backend
-    once per operation, keyed on the two operands' ``id`` in increasing
-    order, since both operations commute.  ``setops`` counts the backend
-    calls, one per stored result, and ``peak_antichain`` is the size of the
-    largest value in the intern table, the largest antichain the solve
-    made.  Even images are still reduced by ``maxac``; interning happens
-    after.
+    ``mu[u]`` when the new downset is another object (``is not``).  The
+    all-caps downset ``top`` and the empty one ``bottom`` are interned
+    first, so each is the one object of its value, and every downset lies
+    between them, since no backward step raises a component past its cap.
+    Union and intersection are ``_memo`` over the backend's operation, with
+    ``top`` absorbing and ``bottom`` neutral for union and the reverse for
+    intersection: such a pair, or an operand met with itself, is answered
+    without the backend, and any other pair runs on it once and is kept in
+    ``unions`` or ``meets``.  ``setops``, the backend calls, is the size of
+    those two tables, and ``peak_antichain`` is the size of the largest
+    value in the intern table, the largest antichain the solve made.  Even
+    images are still reduced by ``maxac``; interning happens after.
     """
     interned: Dict[tuple, Antichain] = {}
     intern = interned.setdefault
     caps = counter_space(game)
     init = initial_counters(caps)
     top = intern(init.vectors, init)
-    ops = _SetopTable(get_backend(backend), intern, top)
+    bottom = intern((), Antichain._from_maximal(len(caps), ()))
+    unions: Dict[Tuple[int, int], Antichain] = {}
+    meets: Dict[Tuple[int, int], Antichain] = {}
+    backend_ops = get_backend(backend)
+    ops = replace(backend_ops, union=_memo(backend_ops.union, intern, top, bottom, unions),
+                  intersect=_memo(backend_ops.intersect, intern, bottom, top, meets))
     nv = len(game)
     mu: List[Antichain] = [top] * nv
     cache: List[Dict[int, Antichain]] = [{} for _ in range(nv)]
@@ -441,7 +407,7 @@ def solve(game: ParityGame, backend: str = "list") -> SolveResult:
                     queued[p] = True
                     stack.append(p)
     winners = [EVEN if mu[v].vectors else ODD for v in range(nv)]
-    return SolveResult(winners, iterations, mu, caps, images, cache, ops.calls,
+    return SolveResult(winners, iterations, mu, caps, images, cache, len(unions) + len(meets),
                        max(map(len, interned)))
 
 

@@ -77,6 +77,8 @@ def _build(ac: Antichain) -> STree:
     children.  Edges are counted as branch nodes are made.
     """
     dim = ac.dim
+    if not ac.vectors:
+        return STree(STNode(0, TOP, (), None), dim, 1, 0)
     nodes: dict = {}
     pending: list = [[] for _ in range(dim)]
     descending = ac.vectors[::-1]

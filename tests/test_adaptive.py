@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,6 +8,7 @@ from downset import (
     Antichain,
     DimensionMismatch,
     choose_backend,
+    format_vector_set,
     intersect_list,
     member_list,
     union_list,
@@ -84,6 +86,21 @@ def test_every_backend_empty_operands_and_dimension_mismatch(name):
             ops.union(ac, three)
         with pytest.raises(DimensionMismatch):
             ops.intersect(ac, three)
+
+
+@pytest.mark.parametrize("name", BACKEND_NAMES)
+def test_empty_sets_of_a_huge_dimension_cost_nothing_per_coordinate(name):
+    # an empty set has no vectors to read, so neither the union's index
+    # build nor the output row may allocate one entry per coordinate
+    empty = Antichain((), dim=10**6)
+    tracemalloc.start()
+    try:
+        text = format_vector_set(get_backend(name).union(empty, empty))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "dim 1000000\n"
+    assert peak < 100_000
 
 
 def test_backend_registry():

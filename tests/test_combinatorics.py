@@ -178,19 +178,26 @@ def test_enumerated_counts_stop_past_the_antichain_limit(monkeypatch):
     with pytest.raises(GridTooLarge):
         count_antichains(4, 3)
     # [2]^3 has 20 antichains: at the limit they are counted, one below it
-    # the enumeration stops
+    # the closed form refuses them
     monkeypatch.setattr(combinatorics, "ANTICHAIN_LIMIT", 20)
     assert count_antichains(3, 2) == 20 and count_antichains(3, 2, 2) == 9
     monkeypatch.setattr(combinatorics, "ANTICHAIN_LIMIT", 19)
     with pytest.raises(GridTooLarge, match="more than 19 antichains"):
         count_antichains(3, 2, 2)
+    # [2]^4 has 168 antichains and its layers' subsets make 96: at the
+    # limit they are counted, one below it the enumeration stops
+    monkeypatch.setattr(combinatorics, "ANTICHAIN_LIMIT", 168)
+    assert count_antichains(4, 2) == 168
+    monkeypatch.setattr(combinatorics, "ANTICHAIN_LIMIT", 167)
+    with pytest.raises(GridTooLarge, match="more than 167 antichains"):
+        count_antichains(4, 2, 2)
 
 
 _REFUSE_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from downset.combinatorics import GridTooLarge, count_antichains
-for d, ell in ((1, 2 ** 18), (2, 18)):
+for d, ell in ((1, 2 ** 18), (2, 12), (2, 18)):
     try:
         count_antichains(d, ell)
     except GridTooLarge:
@@ -200,10 +207,10 @@ for d, ell in ((1, 2 ** 18), (2, 18)):
 
 
 def test_enumerated_counts_refuse_long_chains_and_wide_squares_at_once():
-    # [2^18]^1 has 2^18 + 1 antichains and [18]^2 more than 2^18, though
-    # a largest antichain of either has at most 18 points; enumerating
-    # them takes from seconds to minutes, and the subsets of their layers
-    # refuse both before any enumeration
+    # [2^18]^1 has 2^18 + 1 antichains and [12]^2 and [18]^2 more than
+    # 2^18, though a largest antichain of any has at most 18 points;
+    # enumerating them takes from seconds to minutes, and the closed forms
+    # refuse all three before any enumeration
     package_root = str(Path(combinatorics.__file__).resolve().parent.parent)
     subprocess.run([sys.executable, "-c", _REFUSE_SCRIPT, package_root],
                    capture_output=True, text=True, timeout=5, check=True)
