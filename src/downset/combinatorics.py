@@ -31,11 +31,15 @@ from .core import Antichain, leq
 GRID_POINT_LIMIT = 2 ** 20
 # [4]^3's 232,848 antichains fit; enumerating this many takes seconds
 ANTICHAIN_LIMIT = 2 ** 18
+# grid points x antichains: an enumeration costs about this many point tests
+ENUMERATION_WORK_LIMIT = 2 ** 25
 
 
 class GridTooLarge(ValueError):
     """Enumeration endpoints refuse grids beyond GRID_POINT_LIMIT points,
-    and enumerated counts stop past ANTICHAIN_LIMIT antichains."""
+    and enumerated counts stop past ANTICHAIN_LIMIT antichains or, where
+    the count is known, past ENUMERATION_WORK_LIMIT grid points x
+    antichains."""
 
 
 def _check_grid(d: int, ell: int) -> None:
@@ -130,12 +134,28 @@ def count_antichains(d: int, ell: int, n: Optional[int] = None) -> int:
     antichains, L_s the size of layer s.  That bound is far below the
     count of a square grid: [12]^2 has 12,262 such subsets and 2,704,156
     antichains.
+
+    The enumeration tests each antichain against about every grid point,
+    so where the closed form gives the count it also refuses at once when
+    grid points x antichains pass ENUMERATION_WORK_LIMIT = 2^25.  Every
+    grid of dimension 2 or 3 within ANTICHAIN_LIMIT still counts, [10]^2
+    (100 x 184,756) and [4]^3 (64 x 232,848) the largest, as does every
+    grid the test suite enumerates (at most [6]^2, 36 x 924).  Only a chain
+    [ell]^1 past 5,792 points is refused: its ell + 1 antichains fit
+    ANTICHAIN_LIMIT up to ell = 2^18 - 1, but enumerating them takes time
+    quadratic in ell.
     """
     refusal = GridTooLarge(f"grid [{ell}]^{d} has more than {ANTICHAIN_LIMIT} antichains, "
                            f"limit is {ANTICHAIN_LIMIT}")
     _check_grid(d, ell)
-    if d <= 3 and count(d, ell) > ANTICHAIN_LIMIT:
-        raise refusal
+    if d <= 3:
+        total = count(d, ell)
+        if total > ANTICHAIN_LIMIT:
+            raise refusal
+        if ell ** d * total > ENUMERATION_WORK_LIMIT:
+            raise GridTooLarge(f"grid [{ell}]^{d} has {ell ** d} points and {total} antichains, "
+                               f"enumerating them passes the limit {ENUMERATION_WORK_LIMIT} "
+                               f"of points x antichains")
     at_least = 1  # the empty antichain
     for s in range((ell - 1) * d + 1):
         at_least += 2 ** layer_size(d, ell, s) - 1

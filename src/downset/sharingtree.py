@@ -67,43 +67,56 @@ class STree:
 def _build(ac: Antichain) -> STree:
     """Bottom-up build over the members, which are sorted ascending.
 
-    Reading the vectors in descending order makes siblings arrive in
-    decreasing value order.  A vector ``v`` sharing ``pp`` components with
-    the previous vector and ``pn`` with the next is the only member with
-    the prefix ``v[:c]``, ``c = max(pp, pn) + 1``: from layer ``c`` down it
-    is one chain node.  ``pending[j]`` collects the children of the open
-    node at layer ``j``; once ``v`` is read, its branch nodes below layer
-    ``pn + 1`` are complete, hash-consed, and appended to their parents'
+    The members are read in place, from the last one, so siblings arrive
+    in decreasing value order.  A vector ``v`` sharing ``pp`` components
+    with the vector read before it and ``pn`` with the one read after it
+    (``pn = 0`` for the first member, read last) is the only member with
+    the prefix ``v[:c]``, ``c = max(pp, pn) + 1``: from layer ``c`` down
+    it is one chain node.  ``pending[j]`` collects the children of the
+    open node at layer ``j``, in a list made when that node gets its first
+    child.  Once ``v`` is read, its branch nodes below layer ``pn + 1``
+    are complete: each is hash-consed, with the node below it as its only
+    successor if its layer has no list, and appended to its parent's
     children.  Edges are counted as branch nodes are made.
     """
     dim = ac.dim
-    if not ac.vectors:
+    vectors = ac.vectors
+    if not vectors:
         return STree(STNode(0, TOP, (), None), dim, 1, 0)
     nodes: dict = {}
-    pending: list = [[] for _ in range(dim)]
-    descending = ac.vectors[::-1]
+    pending: list = [None] * dim
     edge_count = 0
-    pp = 0  # coordinates shared with the previous vector
-    for v, w in zip(descending, descending[1:] + ((None,),)):
-        pn = 0  # coordinates shared with the next vector, none after the last
-        while v[pn] == w[pn]:
-            pn += 1
-        c = max(pp, pn) + 1
+    pp = 0  # coordinates shared with the previous vector read
+    for i in range(len(vectors) - 1, -1, -1):
+        v = vectors[i]
+        pn = 0  # coordinates shared with the next vector read
+        if i:
+            w = vectors[i - 1]
+            while v[pn] == w[pn]:
+                pn += 1
+        c = (pp if pp > pn else pn) + 1
         key = (c, v[c - 1:])
         node = nodes.get(key)
         if node is None:
             node = nodes[key] = STNode(c, v[c - 1], (), v[c:])
         for j in range(c - 1, pn, -1):
             children = pending[j]
-            children.append(node)
-            succs = tuple(children)
-            children.clear()
+            if children is None:
+                succs = (node,)
+            else:
+                children.append(node)
+                succs = tuple(children)
+                pending[j] = None
             key = (j, v[j - 1], succs)
             node = nodes.get(key)
             if node is None:
                 node = nodes[key] = STNode(j, v[j - 1], succs, None)
                 edge_count += len(succs)
-        pending[pn].append(node)
+        children = pending[pn]
+        if children is None:
+            pending[pn] = [node]
+        else:
+            children.append(node)
         pp = pn
     root = STNode(0, TOP, tuple(pending[0]), None)
     return STree(root, dim, len(nodes) + 1, edge_count + len(root.succs))

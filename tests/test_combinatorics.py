@@ -197,7 +197,7 @@ _REFUSE_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from downset.combinatorics import GridTooLarge, count_antichains
-for d, ell in ((1, 2 ** 18), (2, 12), (2, 18)):
+for d, ell in ((1, 2 ** 18), (1, 2 ** 18 - 1), (2, 12), (2, 18)):
     try:
         count_antichains(d, ell)
     except GridTooLarge:
@@ -210,7 +210,9 @@ def test_enumerated_counts_refuse_long_chains_and_wide_squares_at_once():
     # [2^18]^1 has 2^18 + 1 antichains and [12]^2 and [18]^2 more than
     # 2^18, though a largest antichain of any has at most 18 points;
     # enumerating them takes from seconds to minutes, and the closed forms
-    # refuse all three before any enumeration
+    # refuse all three before any enumeration.  [2^18 - 1]^1 has exactly
+    # 2^18, within the limit, but enumerating them costs points x
+    # antichains, about 2^36 point tests, so it is refused at once too
     package_root = str(Path(combinatorics.__file__).resolve().parent.parent)
     subprocess.run([sys.executable, "-c", _REFUSE_SCRIPT, package_root],
                    capture_output=True, text=True, timeout=5, check=True)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -250,20 +251,52 @@ def test_build_at_high_dimension():
     assert ST.intersect(a, b) == intersect_list(a, b)
 
 
+def shape(tree):
+    """Each node's layer, value, tail and successors, numbered in the order
+    ``all_nodes`` reaches them: equal shapes are equal DAGs, node for node,
+    with successors in the same order."""
+    nodes = all_nodes(tree)
+    number = {n: i for i, n in enumerate(nodes)}
+    return [(n.layer, n.value, n.tail, tuple(number[s] for s in n.succs)) for n in nodes]
+
+
 def test_build_is_deterministic():
     rng = random.Random(41)
     for _ in range(20):
         k = rng.randint(1, 5)
         a = rand_antichain(rng, k, rng.randint(1, 20), 9)
-        t1 = build_sharingtree(a)
-        t2 = build_sharingtree(a)
+        assert shape(build_sharingtree(a)) == shape(build_sharingtree(a))
 
-        def shape(tree):
-            nodes = all_nodes(tree)
-            number = {n: i for i, n in enumerate(nodes)}
-            return [(n.layer, n.value, n.tail, tuple(number[s] for s in n.succs)) for n in nodes]
 
-        assert shape(t1) == shape(t2)
+def _pinned_sets():
+    """Seeded antichains of k = 1..8 components and m = 0..64 members,
+    one-vector sets, members differing only in their last components, and
+    the pair family up to n = 8."""
+    rng = random.Random(33)
+    for k in range(1, 9):
+        for m in (0, 1, 2, 3, 5, 8, 16, 32, 64):
+            # few values share long prefixes, many share few
+            for maxval in (2, 2 * m + 1):
+                yield rand_antichain(rng, k, m, maxval)
+        yield Antichain([tuple(rng.randint(0, 9) for _ in range(k))])
+        if k >= 2:
+            # two members differing in one component are comparable, so
+            # these differ in the last two only, or share all but 2-3
+            base = tuple(rng.randint(1, 3) for _ in range(k))
+            yield Antichain([base[:-2] + (0, 1), base[:-2] + (1, 0)])
+            yield Antichain(_sum_preserving(base, range(max(0, k - 3), k)))
+    for n in range(1, 9):
+        yield pair_family(n)
+
+
+def test_build_is_pinned_node_for_node():
+    # the DAG of every pinned set, its counts and its successor order,
+    # hashed: a build that makes another DAG for the same language fails here
+    digest = hashlib.sha256()
+    for a in _pinned_sets():
+        tree = build_sharingtree(a)
+        digest.update(repr((a.dim, tree.node_count, tree.edge_count, shape(tree))).encode())
+    assert digest.hexdigest() == "f894a9b6ed862dd592bcf10283e5f88545673de79c04cf2c1f8ad4202fede443"
 
 
 def test_dot_dump_mentions_layers_and_values():
