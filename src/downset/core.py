@@ -4,8 +4,12 @@ A downward-closed set of natural vectors is represented by the antichain of
 its maximal elements.  This module provides the componentwise order
 (:func:`leq`), meets, the maximal-element reduction, and union and
 intersection written once over a backend's index (:class:`DownsetIndex`),
-which needs only ``build`` and ``member``.  The list backend, whose index is the antichain itself, doubles
-as the correctness oracle for every other backend in the package.
+which needs only ``build`` and ``member``.  Only an operand of two or more
+members gets an index: :func:`member`, :func:`union` and :func:`intersect`
+query an empty or one-member operand by :func:`member_list`'s one-way scan,
+which counts the comparisons every tree backend's search of it counts and
+visits no node.  The list backend, whose index is the antichain itself,
+doubles as the correctness oracle for every other backend in the package.
 
 Vectors are plain tuples of non-negative ints.  Antichains are immutable
 values.  Every operation on antichains counts its work into the ``stats``
@@ -288,7 +292,9 @@ def member_list(ac: Antichain, u: Vector, stats: Optional[Stats] = None) -> bool
 class DownsetIndex(Protocol):
     """What a backend provides for :func:`union`, :func:`intersect` and
     :func:`member`: an index ``build`` from an antichain, and ``member``
-    queries on it that count their work into ``stats``.
+    queries on it that count their work into ``stats``.  Those functions
+    build an index only for an operand of two or more members and scan a
+    smaller one with :func:`member_list`.
 
     The backend modules ``kdtree``, ``sharingtree`` and ``cst`` are passed
     as the index themselves: the functions are looked up on every call, so
@@ -312,7 +318,10 @@ class ListIndex:
 
 def member(index: DownsetIndex, ac: Antichain, u: Vector,
            stats: Optional[Stats] = None) -> bool:
-    """Membership of ``u`` through an index built for this one query."""
+    """Membership of ``u`` through an index built for this one query, or by
+    :func:`member_list` when ``ac`` has at most one member."""
+    if len(ac.vectors) < 2:
+        return member_list(ac, u, stats)
     u = tuple(u)
     if len(u) != ac.dim:
         raise DimensionMismatch(f"query has length {len(u)}, set has dimension {ac.dim}")
@@ -327,20 +336,21 @@ def union(index: DownsetIndex, a: Antichain, b: Antichain,
     No member of an antichain dominates another, so a member of one operand
     that is not in the other is strictly dominated exactly when it lies in
     the other's downset.  Shared members are kept without a query; each
-    other member costs one ``member`` query on the other operand's index,
-    and each index is built once.
+    other member costs one membership query on the other operand: on its
+    index, built once, if it has two or more members, else by
+    :func:`member_list`.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    member_of = index.member
-    ia, ib = index.build(a), index.build(b)
+    ia, query_a = (index.build(a), index.member) if len(a.vectors) > 1 else (a, member_list)
+    ib, query_b = (index.build(b), index.member) if len(b.vectors) > 1 else (b, member_list)
     in_a, in_b = set(a.vectors), set(b.vectors)
     kept = []
     for u in a.vectors:
-        if u in in_b or not member_of(ib, u, stats):
+        if u in in_b or not query_b(ib, u, stats):
             kept.append(u)
     for v in b.vectors:
-        if v not in in_a and not member_of(ia, v, stats):
+        if v not in in_a and not query_a(ia, v, stats):
             kept.append(v)
     return Antichain._from_maximal(a.dim, sorted(kept))
 
@@ -351,22 +361,24 @@ def intersect(index: DownsetIndex, a: Antichain, b: Antichain,
 
     A member of one antichain that already lies in the other downset
     contributes only itself: all its meets are dominated by it, so they are
-    skipped.  The remaining meets are reduced by :func:`_max_of`.
+    skipped.  The remaining meets are reduced by :func:`_max_of`.  Each
+    operand of two or more members is queried on its index, built once;
+    a smaller one by :func:`member_list`.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    member_of = index.member
-    ia, ib = index.build(a), index.build(b)
+    ia, query_a = (index.build(a), index.member) if len(a.vectors) > 1 else (a, member_list)
+    ib, query_b = (index.build(b), index.member) if len(b.vectors) > 1 else (b, member_list)
     candidates: list = []
     a_rest = []
     for u in a.vectors:
-        if member_of(ib, u, stats):
+        if query_b(ib, u, stats):
             candidates.append(u)
         else:
             a_rest.append(u)
     b_rest = []
     for v in b.vectors:
-        if member_of(ia, v, stats):
+        if query_a(ia, v, stats):
             candidates.append(v)
         else:
             b_rest.append(v)

@@ -56,7 +56,8 @@ neutral.  Every odd-winning vertex ends empty and every vertex starts at
 the top, so on 3,000 random games of 12-14 vertices these pairs are more
 than half of those the solve combines.  Every other pair runs once per
 solve on the backend's registry operations, those the CLI runs (a tree
-backend builds both operands' indexes on each call), and its result is
+backend builds the index of each operand of two or more members on each
+call, and scans a single counter as the list does), and its result is
 kept in that operation's table under the two operands' ``id`` in
 increasing order: both operations commute, so the pair is unordered and
 is hashed as two ints, not as two nested vector tuples.  Images of

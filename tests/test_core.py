@@ -22,7 +22,7 @@ from downset import (
     union_list,
 )
 import downset
-from downset import core, get_backend, kdtree, sharingtree
+from downset import core, cst, get_backend, kdtree, sharingtree
 from downset.core import maxac
 from util import box_points, brute_downset, brute_member, incomparable, rand_antichain, scan_count
 
@@ -294,17 +294,61 @@ class _CountingIndex:
 @pytest.mark.parametrize("inner", [core.ListIndex, kdtree, sharingtree],
                          ids=["list", "kdtree", "sharingtree"])
 def test_union_queries_only_unshared_members(inner):
+    # an operand of at most one member gets no index: the queries into it
+    # are member_list scans, not index queries
     rng = random.Random(31)
     shared = 0
     for a, b in shared_pairs(rng, 25, k_hi=5, m_hi=12, w_hi=6):
         index = _CountingIndex(inner)
         got = core.union(index, a, b, Stats())
         sa, sb = set(a.vectors), set(b.vectors)
-        assert index.members == len(sa - sb) + len(sb - sa)
-        assert index.builds == 2
+        assert index.members == (len(sa - sb) if len(b) >= 2 else 0) + (len(sb - sa) if len(a) >= 2 else 0)
+        assert index.builds == (len(a) >= 2) + (len(b) >= 2)
         assert got == union_list(a, b)
         shared += len(sa & sb)
     assert shared > 0
+
+
+@pytest.mark.parametrize("inner", [kdtree, sharingtree, cst],
+                         ids=["kdtree", "sharingtree", "cst"])
+def test_operands_of_at_most_one_member_build_no_index(inner):
+    rng = random.Random(41)
+    pairs = list(small_antichains(rng, 40, m_hi=6))
+    for k in (1, 3):
+        one = Antichain([tuple(range(k))])
+        pairs += [(Antichain([], dim=k), one), (one, Antichain([(0,) * k])),
+                  (one, Antichain([], dim=k)), (Antichain([], dim=k), Antichain([], dim=k))]
+        pairs.append((one, rand_antichain(rng, k, 6, 4)))
+    small = 0
+    for a, b in pairs:
+        for ac in (a, b):
+            if len(ac) > 1:
+                continue
+            small += 1
+            top = max((x for v in ac.vectors for x in v), default=0) + 1
+            queries = list(ac.vectors) + [tuple(rng.randint(0, top) for _ in range(ac.dim))
+                                          for _ in range(20)]
+            for u in queries:
+                index, got, want = _CountingIndex(inner), Stats(), Stats()
+                assert core.member(index, ac, u, got) == member_list(ac, u, want)
+                assert (index.builds, index.members) == (0, 0)
+                assert (got.comparisons, got.node_visits) == (want.comparisons, 0)
+                # the backend's own search of such a set counts the same
+                direct = Stats()
+                inner.member(inner.build(ac), u, direct)
+                assert direct.comparisons == want.comparisons
+        for op, op_list in ((core.union, union_list), (core.intersect, intersect_list)):
+            index, got, want = _CountingIndex(inner), Stats(), Stats()
+            result = op(index, a, b, got)
+            assert result == op_list(a, b, want)
+            assert index.builds == (len(a) >= 2) + (len(b) >= 2)
+            if op is core.intersect:
+                # every member is queried, on the other operand's index only
+                # if that operand has two or more members
+                assert index.members == (len(a) if len(b) >= 2 else 0) + (len(b) if len(a) >= 2 else 0)
+            if len(a) <= 1 and len(b) <= 1:
+                assert (got.comparisons, got.node_visits) == (want.comparisons, want.node_visits)
+    assert small > 10
 
 
 class _MemoIndex:
