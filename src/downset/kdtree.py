@@ -13,10 +13,11 @@ empty tree is ``None``.
 The tree is split lazily: ``build_kdtree`` splits only the root, and a
 child stays a pending vector list until a search first descends into it
 (or ``left``/``right`` is read), so a query pays only for the nodes it
-reaches and each node is split at most once.  A split is one stable C sort
-of the node's vectors keyed on the split coordinate, cut in two halves;
-no Python loop runs over the vectors.  That is O(p log p) per node and
-O(n log^2 n) for a full build.
+reaches and each node is split at most once.  A node of three or more
+vectors is split by one stable C sort keyed on the split coordinate, cut
+in two halves: O(p log p) per node and O(n log^2 n) for a full build.  Two
+vectors are ordered by one comparison, as the stable sort would order
+them, and a pending list of one vector is taken as its leaf with no split.
 
 Concurrent searches of one tree are safe: a split is deterministic, so a
 race can only split one node twice into equal subtrees, and every search
@@ -33,8 +34,11 @@ dominator and the branches tried before it; a left branch after a hit is
 neither tested nor split.  It is one loop with no recursion: an explicit
 stack holds each split where it went right, with the bound and counter to
 restore when a miss backs up to try that split's left branch.  A leaf is
-tested in place by the one-way scan of ``core.member_list``, counted as
-there, so a query allocates nothing more.
+tested in place on the query's positive components alone, which the search
+lists once: a stored component is natural, so a zero one never exceeds it.
+The test stops at the first component ``j`` where the query exceeds the
+leaf and counts ``j + 1``, or counts ``k`` at a dominator, the verdict and
+count of the one-way scan of ``core.member_list``.
 Membership is the tree's only query: ``core.union`` and ``core.intersect``
 need no other.
 """
@@ -48,9 +52,10 @@ from .core import Antichain, DimensionMismatch, Stats, Vector
 
 
 class KdSplit:
-    """Internal node: ``value`` is the split coordinate's median value and
-    ``dim`` the length of the vectors below it.  A leaf is its vector, the
-    tuple itself.
+    """Internal node: ``value`` is the split coordinate's median value,
+    ``axis`` that coordinate (``depth % dim``, stored so that a visit reads
+    it) and ``dim`` the length of the vectors below it.  A leaf is its
+    vector, the tuple itself.
 
     ``left_allows_equal`` records whether the left subtree received vectors
     whose split coordinate equals the median (possible only with repeated
@@ -59,15 +64,17 @@ class KdSplit:
 
     A child stays a pending vector list (a half of the sorted list, the
     median first on the right) until it is first reached; ``left`` and
-    ``right`` split it on access, as the search does.
+    ``right`` split it on access, as the search does, and take a list of
+    one vector as that leaf.
     """
 
-    __slots__ = ("value", "depth", "dim", "_left", "_right", "left_allows_equal")
+    __slots__ = ("value", "depth", "axis", "dim", "_left", "_right", "left_allows_equal")
 
-    def __init__(self, value: int, depth: int, dim: int, left: list, right: list,
+    def __init__(self, value: int, depth: int, axis: int, dim: int, left: list, right: list,
                  left_allows_equal: bool):
         self.value = value
         self.depth = depth
+        self.axis = axis
         self.dim = dim
         self._left = left
         self._right = right
@@ -77,32 +84,35 @@ class KdSplit:
     def left(self):
         left = self._left
         if type(left) is list:
-            left = self._left = _split(left, self.depth + 1)
+            left = self._left = left[0] if len(left) == 1 else _split(left, self.depth + 1)
         return left
 
     @property
     def right(self):
         right = self._right
         if type(right) is list:
-            right = self._right = _split(right, self.depth + 1)
+            right = self._right = right[0] if len(right) == 1 else _split(right, self.depth + 1)
         return right
 
 
-def _split(vectors: list, depth: int):
-    """One node over ``vectors``: a leaf (the one vector), or a split whose
-    children, the two halves of one stable sort of ``vectors`` on the
-    split coordinate, are left pending."""
-    p = len(vectors)
-    if p == 1:
-        return vectors[0]
+def _split(vectors: list, depth: int) -> KdSplit:
+    """The split over two or more ``vectors``, whose children, the two
+    halves of a stable sort of ``vectors`` on the split coordinate, are
+    left pending."""
     k = len(vectors[0])
     i = depth % k
+    if len(vectors) == 2:
+        # the stable sort of two vectors: the second goes first only if smaller
+        a, b = vectors
+        if b[i] < a[i]:
+            return KdSplit(a[i], depth, i, k, [b], [a], False)
+        return KdSplit(b[i], depth, i, k, [a], [b], a[i] == b[i])
     # stable, so ties keep the list's order: the first h go left, the
     # median is the first on the right
     order = sorted(vectors, key=itemgetter(i))
-    h = p // 2
+    h = len(order) // 2
     mu = order[h][i]
-    return KdSplit(mu, depth, k, order[:h], order[h:], order[h - 1][i] == mu)
+    return KdSplit(mu, depth, i, k, order[:h], order[h:], order[h - 1][i] == mu)
 
 
 def build_kdtree(source):
@@ -111,8 +121,10 @@ def build_kdtree(source):
     Only the root is split here, by one stable sort of the input in its
     own order (an antichain's is lexicographic); every other node is split
     when first reached.  Raw collections may contain duplicates and
-    comparable vectors, but not vectors of length 0; the leaves always
-    reproduce the input exactly.  The empty tree is ``None``.
+    comparable vectors, but their vectors must have one length of at least
+    1 and natural components, as an antichain's have: the search relies on
+    both.  The leaves always reproduce the input exactly.  The empty tree is
+    ``None``.
     """
     if isinstance(source, Antichain):
         vectors = source.vectors
@@ -122,7 +134,13 @@ def build_kdtree(source):
             raise DimensionMismatch("mixed vector lengths")
         if vectors and not vectors[0]:
             raise ValueError("dimension must be at least 1")
-    return _split(vectors, 0) if vectors else None
+        for v in vectors:
+            for x in v:
+                if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+                    raise ValueError(f"components must be natural numbers, got {x!r}")
+    if len(vectors) > 1:
+        return _split(vectors, 0)
+    return vectors[0] if vectors else None
 
 
 def tree_height(tree) -> int:
@@ -134,22 +152,24 @@ def tree_height(tree) -> int:
 def _search(tree, u: Vector, stats: Optional[Stats]) -> bool:
     """Is there a dominator of ``u`` in the non-empty ``tree``?  One loop
     over the nodes, right child first; ``stack`` holds a frame
-    ``(node, i, old, c)`` for each split where the search went right, and a
+    ``(node, old, c)`` for each split where the search went right, and a
     miss resumes at the innermost frame whose left region can still hold a
     dominator."""
     k = len(u)
     lb = [0] * k
-    c = len([x for x in u if x > 0])
+    # a stored component is natural, so only a positive one of u can exceed it
+    positive = [(j, x) for j, x in enumerate(u) if x > 0]
+    c = len(positive)
     visits = comps = 0
     stack = []
     node = tree
     while True:
         visits += 1
         if type(node) is KdSplit:
-            i = node.depth % k
+            i = node.axis
             mu = node.value
             old = lb[i]
-            stack.append((node, i, old, c))
+            stack.append((node, old, c))
             # descend right: the right region's bound on coordinate i rises to mu
             if mu > old:
                 comps += 3
@@ -163,24 +183,25 @@ def _search(tree, u: Vector, stats: Optional[Stats]) -> bool:
                 found = True
                 break
             right = node._right
-            if type(right) is list:  # first descent: split the pending child
-                right = node._right = _split(right, node.depth + 1)
+            if type(right) is list:  # first descent: the pending child's node
+                right = node._right = right[0] if len(right) == 1 else _split(right, node.depth + 1)
             node = right
             continue
-        # the one-way scan of core.member_list, with its count
-        j = 0
-        while j < k and u[j] <= node[j]:
-            j += 1
-        if j == k:
+        # the verdict and count of core.member_list's one-way scan
+        for j, x in positive:
+            if x > node[j]:
+                comps += j + 1
+                break
+        else:
             # the first dominator answers the query, so a member query pays
             # for the path to it and the branches tried before; no left
             # branch on that path is tested or split
             comps += k
             found = True
             break
-        comps += j + 1
         while stack:
-            node, i, old, c = stack.pop()
+            node, old, c = stack.pop()
+            i = node.axis
             lb[i] = old
             comps += 1
             ui = u[i]
@@ -188,7 +209,7 @@ def _search(tree, u: Vector, stats: Optional[Stats]) -> bool:
                 # the left region can still contain a dominator of u
                 left = node._left
                 if type(left) is list:
-                    left = node._left = _split(left, node.depth + 1)
+                    left = node._left = left[0] if len(left) == 1 else _split(left, node.depth + 1)
                 node = left
                 break
         else:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from downset import Antichain, DimensionMismatch, Stats, get_backend, member_list, union_list, intersect_list
 from downset.bench import BenchSpec, run_bench
+from downset import kdtree
 from downset.kdtree import (
     KdSplit,
     build_kdtree,
@@ -16,7 +17,7 @@ from downset.kdtree import (
     tree_dim,
     tree_height,
 )
-from util import _prec_order, adversarial_vectors, prec_median, rand_antichain, tree_leaves
+from util import _prec_order, adversarial_vectors, pair_family, prec_median, rand_antichain, tree_leaves
 
 KD = get_backend("kdtree")
 
@@ -73,6 +74,18 @@ def test_build_rejects_zero_length_vectors():
     for source in ([()], [(), ()]):
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             build_kdtree(source)
+
+
+def test_build_rejects_components_that_are_not_natural():
+    # as Antichain does: the search certifies a region when no positive query
+    # component is left, and tests a leaf on those components alone, so a
+    # negative component would answer (0, 0) and (0,) as members
+    for source in ([(-1, 5), (3, -2)], [(-1,)], [(1, 2.0)], [(True, 0)], [("1",)]):
+        with pytest.raises(ValueError, match="components must be natural numbers, got"):
+            build_kdtree(source)
+    # lengths are checked first
+    with pytest.raises(DimensionMismatch):
+        build_kdtree([(1, 2), (-1,)])
 
 
 def test_build_keeps_duplicates_in_collections():
@@ -318,6 +331,24 @@ def test_member_search_stops_at_the_first_dominator():
     assert member_kdtree(tree, (1, 0, 1), s) is True
     assert (s.comparisons, s.node_visits) == (6, 2)
     assert type(tree._left) is list
+
+
+def test_search_splits_no_list_of_one_vector(monkeypatch):
+    # a pending list of one vector is its leaf, so the search splits only
+    # the 63 nodes of two or more vectors of a full 64-member traversal
+    sizes = []
+    split = kdtree._split
+
+    def counting_split(vectors, depth):
+        sizes.append(len(vectors))
+        return split(vectors, depth)
+
+    monkeypatch.setattr(kdtree, "_split", counting_split)
+    s = Stats()
+    assert member_kdtree(build_kdtree(Antichain(pair_family(6))), (0,) * 11 + (2,), s) is False
+    assert (s.comparisons, s.node_visits) == (958, 127)
+    assert len(sizes) == 63
+    assert min(sizes) >= 2
 
 
 def test_best_case_large_query_skips_left_branches():
