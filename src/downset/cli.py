@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from . import bench as bench_mod
@@ -21,9 +22,10 @@ from .core import (
     Stats,
     format_vector_set,
     load_vector_set,
+    member,
     save_vector_set,
 )
-from .sharingtree import build_sharingtree, to_dot
+from .sharingtree import STree, build_sharingtree, member_st, to_dot
 
 
 class CliError(Exception):
@@ -58,14 +60,19 @@ def _sizes(text: str) -> list:
     return sizes
 
 
-def _maybe_dump_dot(args, ac: Antichain) -> None:
-    path = args.dump_dot
-    if path is None:
-        return
+def _dot_tree(args, ac: Antichain) -> Optional[STree]:
+    """The DAG of ``ac`` that ``--dump-dot`` writes, or None without it."""
+    if args.dump_dot is None:
+        return None
     if args.backend not in ("sharingtree", "cst"):
         raise CliError("--dump-dot requires the sharingtree or cst backend")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(to_dot(build_sharingtree(ac)))  # cst builds the same DAG
+    return build_sharingtree(ac)  # cst builds the same DAG
+
+
+def _write_dot(args, tree: Optional[STree]) -> None:
+    if tree is not None:
+        with open(args.dump_dot, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(to_dot(tree))
 
 
 def _print_stats(args, stats: Stats) -> None:
@@ -77,8 +84,14 @@ def cmd_member(args) -> int:
     ac = load_vector_set(args.set)
     u = _parse_vector_literal(args.vector, ac.dim)
     stats = Stats()
-    verdict = get_backend(args.backend).member(ac, u, stats)
-    _maybe_dump_dot(args, ac)
+    tree = _dot_tree(args, ac)
+    if tree is None:
+        verdict = get_backend(args.backend).member(ac, u, stats)
+    else:
+        # query the DAG to be dumped, so that it is built once; cst searches
+        # it as the sharing tree does
+        verdict = member(SimpleNamespace(build=lambda _: tree, member=member_st), ac, u, stats)
+    _write_dot(args, tree)
     print("true" if verdict else "false")
     _print_stats(args, stats)
     return 0
@@ -94,7 +107,7 @@ def cmd_setop(args) -> int:
         for name in BACKEND_NAMES:
             if name != args.backend and getattr(get_backend(name), op)(a, b) != out:
                 raise CliError(f"backend {name} disagrees with {args.backend} on {op}")
-    _maybe_dump_dot(args, out)
+    _write_dot(args, _dot_tree(args, out))
     if args.output:
         save_vector_set(out, args.output)
     else:

@@ -59,7 +59,9 @@ class Stats:
     dominance test, in every backend, is the one-way scan of
     :func:`member_list` and counts as it does: ``j + 1`` when the queried
     vector exceeds the other at component ``j``, ``k`` when it is dominated.
-    ``node_visits`` counts tree nodes touched during queries.
+    ``node_visits`` counts tree nodes touched during queries; in a k-d
+    tree, whose leaves hold up to 8 vectors, these are the splits visited
+    and the leaf vectors tested.
     """
 
     __slots__ = ("comparisons", "node_visits")

@@ -325,6 +325,33 @@ def test_dump_dot(capsys, set_files, tmp_path):
     assert "dump-dot" in err
 
 
+def test_member_dump_dot_builds_the_dag_once(capsys, set_files, tmp_path, monkeypatch):
+    # the query searches the DAG it dumps: one build, with the verdict, the
+    # counts and the DOT text of a query and a dump run apart
+    from downset import cst, sharingtree
+
+    builds = []
+    build = sharingtree._build
+
+    def counting_build(ac):
+        builds.append(ac)
+        return build(ac)
+
+    monkeypatch.setattr(sharingtree, "_build", counting_build)
+    monkeypatch.setattr(cst, "_build", counting_build)
+    a, _ = set_files
+    for backend in ("sharingtree", "cst"):
+        for query in ("1 0", "1 1"):
+            dot = tmp_path / f"{backend}.dot"
+            plain = run_main(capsys, ["member", a, query, "--backend", backend, "--stats"])
+            del builds[:]
+            dumped = run_main(capsys, ["member", a, query, "--backend", backend, "--stats",
+                                       "--dump-dot", dot])
+            assert len(builds) == 1
+            assert dumped == plain
+            assert dot.read_text() == sharingtree.to_dot(build(load_vector_set(a)))
+
+
 def test_high_dimension_sharing_tree_commands_without_traceback(tmp_path):
     # one process per command, as a user runs them: at k=1000 a search that
     # recursed once per coordinate would die with a RecursionError traceback

@@ -17,7 +17,7 @@ from downset.kdtree import (
     tree_dim,
     tree_height,
 )
-from util import _prec_order, adversarial_vectors, pair_family, prec_median, rand_antichain, tree_leaves
+from util import _prec_order, adversarial_vectors, prec_median, rand_antichain, scan_count, tree_leaves
 
 KD = get_backend("kdtree")
 
@@ -41,16 +41,24 @@ def test_prec_median_matches_sorting_oracle(values):
 
 
 def test_build_two_vector_example():
-    tree = build_kdtree(Antichain([(1, 2), (2, 1)]))
+    # two vectors are one leaf, a list in the antichain's order
+    a = Antichain([(2, 1), (1, 2)])
+    tree = build_kdtree(a)
+    assert type(tree) is list and tree == [(1, 2), (2, 1)]
+    assert [id(v) for v in tree] == [id(v) for v in a.vectors]
+    # nine are one split over two leaves, the halves of the sort on
+    # coordinate 0, the median first on the right
+    tree = build_kdtree(Antichain([(i, 8 - i) for i in range(9)]))
     assert isinstance(tree, KdSplit)
-    assert tree.value == 2
-    assert tree.left == (1, 2)
-    assert tree.right == (2, 1)
+    assert (tree.value, tree.axis, tree.left_allows_equal) == (4, 0, False)
+    assert tree.left == [(i, 8 - i) for i in range(4)]
+    assert tree.right == [(i, 8 - i) for i in range(4, 9)]
 
 
 def test_build_singleton_and_empty():
-    tree = build_kdtree(Antichain([(5,)]))
-    assert type(tree) is tuple and tree == (5,)
+    a = Antichain([(5,)])
+    tree = build_kdtree(a)
+    assert type(tree) is list and tree == [(5,)] and tree[0] is a.vectors[0]
     assert build_kdtree(Antichain((), dim=3)) is None
     assert member_kdtree(None, (0, 0)) is False
 
@@ -104,7 +112,7 @@ def test_split_invariants_hold_structurally():
         stack = [tree]
         while stack:
             node = stack.pop()
-            if type(node) is tuple:
+            if type(node) is list:
                 continue
             i = node.depth % k
             right_vals = [w[i] for w in tree_leaves(node.right)]
@@ -119,11 +127,12 @@ def test_split_invariants_hold_structurally():
 
 
 def _reference_tree(vectors, depth, k):
-    """Eager tree from the definition: rank the vectors on the split
+    """Eager tree from the definition: a list of at most 8 vectors is a
+    leaf; a longer one is split by ranking its vectors on the split
     coordinate, ties by their position in the node's list; the first
     floor(p/2) ranks go left and the rest right, the median first."""
-    if len(vectors) == 1:
-        return ("leaf", vectors[0])
+    if len(vectors) <= 8:
+        return ("leaf", vectors)
     i = depth % k
     col = [v[i] for v in vectors]
     ranks = _prec_order(col)
@@ -138,24 +147,55 @@ def _reference_tree(vectors, depth, k):
 
 def _as_reference(node):
     """The tree in the reference's shape; reading ``left``/``right`` splits
-    every pending child."""
-    if type(node) is tuple:
+    every pending child, so a list is a leaf."""
+    if type(node) is list:
         return ("leaf", node)
     return ("split", node.value, node.depth, node.left_allows_equal,
             _as_reference(node.left), _as_reference(node.right))
 
 
 def _split_nodes(tree):
-    """Nodes split so far, counted without splitting any."""
+    """Splits made so far, counted without making any."""
     count, stack = 0, [tree]
     while stack:
         node = stack.pop()
-        if type(node) is list:
-            continue
-        count += 1
-        if isinstance(node, KdSplit):
+        if type(node) is KdSplit:
+            count += 1
             stack += [node._left, node._right]
     return count
+
+
+def _reference_search(tree, u):
+    """The right-first search written as a recursion from its definition:
+    ``(verdict, comparisons, splits visited, leaf vectors tested)``.  A
+    split costs 3 comparisons when it raises the region's bound and 1 when
+    not, and backing up to its left branch 1 more; a region whose bound
+    reaches ``u`` holds only dominators; a leaf is scanned from its last
+    vector, each counted as the one-way scan counts."""
+    n = {"comps": 0, "splits": 0, "vectors": 0}
+
+    def visit(node, lb):
+        if type(node) is list:
+            for v in reversed(node):
+                n["vectors"] += 1
+                dominated, count = scan_count(u, v)
+                n["comps"] += count
+                if dominated:
+                    return True
+            return False
+        n["splits"] += 1
+        i, mu = node.axis, node.value
+        n["comps"] += 3 if mu > lb[i] else 1
+        right_lb = lb[:i] + (max(lb[i], mu),) + lb[i + 1:]
+        if all(a <= b for a, b in zip(u, right_lb)) or visit(node.right, right_lb):
+            return True
+        n["comps"] += 1
+        if u[i] < mu or (u[i] == mu and node.left_allows_equal):
+            return visit(node.left, lb)
+        return False
+
+    found = visit(tree, (0,) * len(u))
+    return found, n["comps"], n["splits"], n["vectors"]
 
 
 def test_lazy_tree_equals_eager_reference():
@@ -175,29 +215,37 @@ def test_lazy_tree_equals_eager_reference():
 
 
 def test_first_query_splits_only_the_nodes_it_visits():
+    # the splits a first query makes are the splits it visits, and it counts
+    # those plus the leaf vectors it tests
     rng = random.Random(13)
     partial = 0
     for _ in range(80):
         k = rng.randint(1, 6)
         a = rand_antichain(rng, k, rng.randint(1, 64), 9)
+        full = build_kdtree(a)
+        tree_leaves(full)  # splits every node of the reference's tree
         for _ in range(5):
             u = tuple(rng.randint(0, 9) for _ in range(k))
             tree = build_kdtree(a)
-            assert _split_nodes(tree) == 1
+            assert _split_nodes(tree) == (len(a) > 8)
             s = Stats()
-            member_kdtree(tree, u, s)
-            assert _split_nodes(tree) == s.node_visits
-            partial += s.node_visits < 2 * len(a) - 1
+            found = member_kdtree(tree, u, s)
+            _, comps, splits, vectors = _reference_search(full, u)
+            assert (found, s.comparisons) == (member_list(a, u), comps)
+            assert _split_nodes(tree) == splits
+            assert s.node_visits == splits + vectors
+            partial += splits < _split_nodes(full)
     assert partial > 0
 
 
 def test_dimension_reads_split_nothing():
-    tree = build_kdtree([(3, 1, 2), (1, 3, 2), (2, 2, 3), (0, 0, 4)])
+    tree = build_kdtree([(i, 16 - i, 1) for i in range(17)])
     assert tree_dim(tree) == 3
     with pytest.raises(DimensionMismatch):
         member_kdtree(tree, (1, 1))
     assert _split_nodes(tree) == 1
-    # a one-vector tree is its leaf tuple, the empty tree None
+    assert type(tree._left) is list and type(tree._right) is list
+    # a tree of at most 8 vectors is its leaf list, the empty tree None
     assert [tree_dim(build_kdtree(vs)) for vs in ([(1, 2)], [(1, 2), (2, 1)], [])] == [2, 2, None]
     with pytest.raises(DimensionMismatch):
         member_kdtree(build_kdtree([(1, 2)]), (1, 1, 1))
@@ -242,10 +290,11 @@ def test_concurrent_searches_of_one_fresh_tree_agree():
 
 
 def test_member_zero_vector_early_exit():
-    tree = build_kdtree(Antichain([(2, 0), (0, 2)]))
+    tree = build_kdtree(Antichain([(i, 8 - i) for i in range(9)]))
     s = Stats()
     assert member_kdtree(tree, (0, 0), s) is True
     assert s.node_visits == 1  # region inclusion certified at the root
+    assert type(tree._right) is list and type(tree._left) is list
 
 
 def test_member_examples():
@@ -324,18 +373,27 @@ def test_adversarial_visit_scaling_small():
 
 
 def test_member_search_stops_at_the_first_dominator():
-    # the right leaf (2, 0, 1) dominates the query, so the search neither
-    # tests nor splits the pending left child (0, 2, 1)
+    # a leaf is scanned from its last vector: (2, 0, 1) dominates the query,
+    # so (0, 2, 1) is not tested
     tree = build_kdtree(Antichain([(2, 0, 1), (0, 2, 1)]))
     s = Stats()
     assert member_kdtree(tree, (1, 0, 1), s) is True
-    assert (s.comparisons, s.node_visits) == (6, 2)
-    assert type(tree._left) is list
+    assert (s.comparisons, s.node_visits) == (3, 1)
+    # (10, 7, 1), the second vector of the right-most leaf, dominates the
+    # query, so the search neither tests that leaf's first three vectors
+    # nor its sibling leaf, nor splits the root's pending left half
+    tree = build_kdtree(Antichain([(i, 17 - i, 1) for i in range(18)]))
+    s = Stats()
+    assert member_kdtree(tree, (10, 0, 1), s) is True
+    assert (s.comparisons, s.node_visits) == (10, 4)
+    assert type(tree._left) is list and len(tree._left) == 9
 
 
-def test_search_splits_no_list_of_one_vector(monkeypatch):
-    # a pending list of one vector is its leaf, so the search splits only
-    # the 63 nodes of two or more vectors of a full 64-member traversal
+def test_leaf_size_boundary(monkeypatch):
+    # around the leaf size 8: the verdict is the list backend's, no list of
+    # 8 or fewer vectors is split, and a query counts the splits it visits
+    # plus the leaf vectors it tests, with the comparisons of the search's
+    # definition
     sizes = []
     split = kdtree._split
 
@@ -344,11 +402,42 @@ def test_search_splits_no_list_of_one_vector(monkeypatch):
         return split(vectors, depth)
 
     monkeypatch.setattr(kdtree, "_split", counting_split)
-    s = Stats()
-    assert member_kdtree(build_kdtree(Antichain(pair_family(6))), (0,) * 11 + (2,), s) is False
-    assert (s.comparisons, s.node_visits) == (958, 127)
-    assert len(sizes) == 63
-    assert min(sizes) >= 2
+    rng = random.Random(36)
+    for m in (1, 2, 8, 9, 16, 17, 64):
+        for trial in range(40):
+            if trial % 2:
+                # a raw collection of m vectors with duplicates and ties
+                k = rng.randint(1, 5)
+                pool = [tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(m // 2 + 1)]
+                source = [rng.choice(pool) for _ in range(m)]
+                vectors = source
+            else:
+                # an antichain of exactly m members: distinct vectors of one
+                # component sum, with ties on every coordinate
+                k = rng.randint(2, 5)
+                points = set()
+                while len(points) < m:
+                    cuts = sorted(rng.randint(0, m + 3) for _ in range(k - 1))
+                    points.add(tuple(b - a for a, b in zip([0] + cuts, cuts + [m + 3])))
+                source = Antichain(points, dim=k)
+                vectors = list(source.vectors)
+                assert len(vectors) == m
+            full = build_kdtree(source)
+            assert sorted(tree_leaves(full)) == sorted(vectors)
+            assert (type(full) is list) == (m <= 8)
+            top = max(max(v) for v in vectors) + 1
+            queries = [tuple(rng.randint(0, top) for _ in range(k)) for _ in range(10)]
+            v = rng.choice(vectors)
+            queries += [v, v[:-1] + (v[-1] + 1,), (0,) * k]
+            for u in queries:
+                tree = build_kdtree(source)
+                s = Stats()
+                found = member_kdtree(tree, u, s)
+                _, comps, splits, tested = _reference_search(full, u)
+                assert found == member_list(Antichain(vectors, dim=k), u)
+                assert (s.comparisons, s.node_visits) == (comps, splits + tested)
+                assert _split_nodes(tree) == splits
+    assert sizes and min(sizes) > 8
 
 
 def test_best_case_large_query_skips_left_branches():
@@ -365,14 +454,16 @@ def test_kdtree_counts_are_pinned():
     # counts of the k-d backend on seeded bench rows (k=6, t=10 and 40); a
     # change to the build or the search must leave the tree and these
     # counts as they are.  The union and intersection counts also pin the
-    # tie order: ties keep the order of the node's list
+    # tie order: ties keep the order of the node's list.  Leaves of up to 8
+    # vectors lowered every count (membership was (856, 6835) comparisons
+    # and (227, 1961) visits with one-vector leaves)
     expected = {
-        ("membership", "comparisons"): (856, 6835),
-        ("membership", "node_visits"): (227, 1961),
-        ("union", "comparisons"): (342, 3185),
-        ("union", "node_visits"): (97, 926),
-        ("intersection", "comparisons"): (1306, 8850),
-        ("intersection", "node_visits"): (217, 1950),
+        ("membership", "comparisons"): (539, 4887),
+        ("membership", "node_visits"): (159, 1660),
+        ("union", "comparisons"): (227, 2193),
+        ("union", "node_visits"): (80, 771),
+        ("intersection", "comparisons"): (983, 6761),
+        ("intersection", "node_visits"): (138, 1613),
     }
     for (op, metric), values in expected.items():
         rows = run_bench(BenchSpec(op=op, sizes=(10, 40), k=6, seed=3,
@@ -381,7 +472,9 @@ def test_kdtree_counts_are_pinned():
 
 
 def test_high_dimension_matches_list_backend():
-    # the search recurses by tree depth, not by dimension
+    # the search is one loop with an explicit stack, and a leaf is scanned
+    # on the query's positive components, so a dimension of 2000 is no
+    # deeper than any other
     rng = random.Random(2000)
     k = 2000
     a = rand_antichain(rng, k, 16, 32)

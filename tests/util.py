@@ -122,15 +122,16 @@ def pair_family(n):
 
 
 def tree_leaves(tree) -> list:
-    """Leaf vectors left to right."""
+    """Leaf vectors left to right, each leaf list in its order; reading
+    ``left``/``right`` splits every pending half, so a list is a leaf."""
     if tree is None:
         return []
     out: list = []
     stack = [tree]
     while stack:
         node = stack.pop()
-        if type(node) is tuple:
-            out.append(node)
+        if type(node) is list:
+            out.extend(node)
         else:
             stack.append(node.right)
             stack.append(node.left)
