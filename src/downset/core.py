@@ -6,10 +6,17 @@ its maximal elements.  This module provides the componentwise order
 intersection written once over a backend's index (:class:`DownsetIndex`),
 which needs only ``build`` and ``member``.  Only an operand of two or more
 members gets an index: :func:`member`, :func:`union` and :func:`intersect`
-query an empty or one-member operand by :func:`member_list`'s one-way scan,
-which counts the comparisons every tree backend's search of it counts and
-visits no node.  The list backend, whose index is the antichain itself,
-doubles as the correctness oracle for every other backend in the package.
+query an empty or one-member operand by :func:`member_list`, which visits
+no node.  The list backend, whose index is the antichain itself, doubles
+as the correctness oracle for every other backend in the package.
+
+A dominator of ``u`` is lexicographically at least ``u``, and the members
+are sorted so.  A list query binary-searches for the first member not
+below ``u`` and scans only from there, testing each member from component
+1 on, since its first component is already at least ``u[0]``; the
+pairwise reduction tests each vector against lexicographically larger
+kept ones, from component 1 too.  The scan stays linear in the members,
+as the paper's list bound says, and every verdict is the one-way scan's.
 
 Vectors are plain tuples of non-negative ints.  Antichains are immutable
 values.  Every operation on antichains counts its work into the ``stats``
@@ -55,10 +62,14 @@ class Stats:
 
     ``comparisons`` counts scalar comparisons between vector components,
     and for a bitset reduction the column entries its walks visit,
-    ``k·hi`` per block ``[lo, hi)`` (see :func:`_max_of`).  Every counted
-    dominance test, in every backend, is the one-way scan of
-    :func:`member_list` and counts as it does: ``j + 1`` when the queried
-    vector exceeds the other at component ``j``, ``k`` when it is dominated.
+    ``k·hi`` per block ``[lo, hi)`` (see :func:`_max_of`).  A tree
+    backend's dominance test is the definition-level one-way scan and
+    counts as it does: ``j + 1`` when the queried vector exceeds the other
+    at component ``j``, ``k`` when it is dominated.  A list query
+    (:func:`member_list`) counts one per probe of its binary search, then,
+    per member scanned from the cut, ``j`` when the test fails at component
+    ``j`` and ``k - 1`` at a dominator; the pairwise reduction counts its
+    tests the same way, from component 1.
     ``node_visits`` counts tree nodes touched during queries; in a k-d
     tree, whose leaves hold up to 8 vectors, these are the splits visited
     and the leaf vectors tested.
@@ -80,8 +91,10 @@ def _check_dims(u: Sequence[int], v: Sequence[int]) -> None:
 
 
 def leq(u: Vector, v: Vector) -> bool:
-    """Is ``u <= v`` componentwise?  The one-way scan of :func:`member_list`,
-    uncounted."""
+    """Is ``u <= v`` componentwise?  The definition-level one-way scan from
+    component 0, uncounted; :func:`member_list` and the pairwise reduction
+    run it from component 1 on vectors whose first component is already
+    known to be large enough."""
     _check_dims(u, v)
     k = len(u)
     j = 0
@@ -120,21 +133,24 @@ def _max_of_pairwise(uniq: list, stats: Optional[Stats] = None) -> list:
     A vector is kept unless one of the already-kept vectors dominates it.
     A dominator is always lexicographically larger, so it was processed
     earlier; dominated dominators are themselves covered by a kept vector
-    by transitivity.  Each test is the one-way scan of :func:`member_list`,
-    counted into ``stats`` as there.
+    by transitivity.  Every kept vector is lexicographically larger than
+    the one tested, so its first component is at least as large, and each
+    test is :func:`member_list`'s one-way scan from component 1, counted
+    as there: ``j`` when the tested vector exceeds the kept one at
+    component ``j``, ``k - 1`` when it is dominated.
     """
     kept: list = []
     comps = 0
     k = len(uniq[0]) if uniq else 0
     for v in uniq:
         for c in kept:
-            j = 0
+            j = 1
             while j < k and v[j] <= c[j]:
                 j += 1
             if j == k:
-                comps += k
+                comps += k - 1
                 break
-            comps += j + 1
+            comps += j
         else:
             kept.append(v)
     if stats is not None:
@@ -267,25 +283,38 @@ def maxac(vectors: Iterable[Vector], dim: Optional[int] = None) -> Antichain:
 def member_list(ac: Antichain, u: Vector, stats: Optional[Stats] = None) -> bool:
     """Membership of ``u`` in the downset: does some member dominate ``u``?
 
-    Linear scan by the one-way test ``while j < k and u[j] <= v[j]``: ``j + 1``
-    scalar comparisons when ``u`` exceeds ``v`` at component ``j``, ``k`` when
-    ``v`` dominates ``u``.
+    A dominator of ``u`` is lexicographically at least ``u``, so a binary
+    search of the sorted ``vectors`` finds the cut, the first member not
+    below ``u``, and the scan starts there.  Every member from the cut on
+    has a first component at least ``u[0]``, so its one-way test
+    ``while j < k and u[j] <= v[j]`` starts at component 1.  Counted: one
+    comparison per probe of the search, then per member scanned ``j`` when
+    ``u`` exceeds it at component ``j``, ``k - 1`` at a dominator.
     """
     u = tuple(u)
     if len(u) != ac.dim:
         raise DimensionMismatch(f"query has length {len(u)}, set has dimension {ac.dim}")
+    vectors = ac.vectors
+    lo, hi = 0, len(vectors)
     comps = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        comps += 1
+        if vectors[mid] < u:
+            lo = mid + 1
+        else:
+            hi = mid
     k = ac.dim
     found = False
-    for v in ac.vectors:
-        j = 0
+    for v in vectors[lo:]:
+        j = 1
         while j < k and u[j] <= v[j]:
             j += 1
         if j == k:
-            comps += k
+            comps += k - 1
             found = True
             break
-        comps += j + 1
+        comps += j
     if stats is not None:
         stats.comparisons += comps
     return found
@@ -315,7 +344,11 @@ class ListIndex:
     def build(ac: Antichain) -> Antichain:
         return ac
 
-    member = staticmethod(member_list)
+    @staticmethod
+    def member(index: Antichain, u: Vector, stats: Optional[Stats] = None) -> bool:
+        # member_list is looked up on every call, so a wrapper installed on
+        # this module sees the list queries of union and intersect too
+        return member_list(index, u, stats)
 
 
 def member(index: DownsetIndex, ac: Antichain, u: Vector,

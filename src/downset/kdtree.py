@@ -42,8 +42,8 @@ vector is tested in place on the query's positive components alone, which
 the search lists once: a stored component is natural, so a zero one never
 exceeds it.  The test stops at the first component ``j`` where the query
 exceeds the vector and counts ``j + 1``, or counts ``k`` at a dominator,
-the verdict and count of the one-way scan of ``core.member_list``; each
-vector tested counts one node visit, as each split visited does.
+the verdict and count of the definition-level one-way scan; each vector
+tested counts one node visit, as each split visited does.
 Membership is the tree's only query: ``core.union`` and ``core.intersect``
 need no other.
 """
@@ -192,7 +192,7 @@ def _search(tree, u: Vector, stats: Optional[Stats]) -> bool:
             node = right
             continue
         # the leaf, last vector first, each with the verdict and count of
-        # core.member_list's one-way scan
+        # the definition-level one-way scan
         for v in reversed(node):
             visits += 1
             for j, x in positive:

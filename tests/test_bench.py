@@ -29,9 +29,11 @@ def test_membership_rows_deterministic():
 
 def test_list_counts_are_pinned():
     # comparisons of the list backend on the seeded rows the k-d pin uses
-    # (k=6, t=10 and 40): each dominance test counts as the one-way scan
-    expected = {"membership": (339, 4038), "union": (197, 2707),
-                "intersection": (822, 5827)}
+    # (k=6, t=10 and 40): each query counts its binary-search probes and
+    # its scans from component 1 from the lexicographic cut, the pairwise
+    # reduction its scans from component 1
+    expected = {"membership": (263, 2154), "union": (140, 1421),
+                "intersection": (598, 3915)}
     for op, values in expected.items():
         rows = run_bench(BenchSpec(op=op, sizes=(10, 40), k=6, seed=3,
                                    backends=("list",), metric="comparisons"))

@@ -24,7 +24,15 @@ from downset import (
 import downset
 from downset import core, cst, get_backend, kdtree, sharingtree
 from downset.core import maxac
-from util import box_points, brute_downset, brute_member, incomparable, rand_antichain, scan_count
+from util import (
+    box_points,
+    brute_downset,
+    brute_member,
+    cut_scan,
+    incomparable,
+    rand_antichain,
+    scan_count,
+)
 
 vectors_st = st.integers(1, 5).flatmap(
     lambda k: st.tuples(*(st.integers(0, 6) for _ in range(k))))
@@ -119,8 +127,11 @@ def test_member_list_comparison_budget():
 
 
 def test_dominance_tests_count_as_the_one_way_scan():
-    # list membership, a one-leaf k-d tree and the pairwise reduction each
-    # give the verdict and the count of the definition-level scan
+    # a one-leaf k-d tree gives the verdict and count of the definition-level
+    # one-way scan; the list query bisects first (one probe) and, when v is
+    # not below u lexicographically, scans v from component 1, which is that
+    # scan's count; the pairwise reduction tests the smaller vector on the
+    # tails alone
     rng = random.Random(41)
     for case in range(600):
         k = 1 if case % 5 == 0 else rng.randint(2, 6)
@@ -129,7 +140,8 @@ def test_dominance_tests_count_as_the_one_way_scan():
         dominated, count = scan_count(u, v)
         s = Stats()
         assert member_list(Antichain([v]), u, s) is dominated
-        assert s.comparisons == count
+        assert (dominated, s.comparisons) == cut_scan((v,), u)
+        assert s.comparisons == (count if u <= v else 1)
         s = Stats()
         assert kdtree.member_kdtree(kdtree.build_kdtree([v]), u, s) is dominated
         assert (s.comparisons, s.node_visits) == (count, 1)
@@ -137,7 +149,7 @@ def test_dominance_tests_count_as_the_one_way_scan():
             s = Stats()
             kept = core._max_of_pairwise([v, u], s)
             assert kept == ([v] if dominated else [u, v])
-            assert s.comparisons == count
+            assert s.comparisons == count - 1 == scan_count(u[1:], v[1:])[1]
 
 
 def _collection(rng, k, m):
@@ -309,6 +321,27 @@ def test_union_queries_only_unshared_members(inner):
     assert shared > 0
 
 
+def test_list_index_looks_up_member_list_on_each_call(monkeypatch):
+    # a wrapper installed on the module, as the benchmark's tracer installs
+    # one, sees every list query of union and intersect, on operands of any
+    # size
+    calls = []
+    scan = core.member_list
+
+    def spy(ac, u, stats=None):
+        calls.append(u)
+        return scan(ac, u, stats)
+
+    monkeypatch.setattr(core, "member_list", spy)
+    a = Antichain([(3, 0, 1), (1, 2, 2), (0, 4, 0)])
+    b = Antichain([(3, 0, 1), (2, 2, 0)])
+    union_list(a, b)
+    assert sorted(calls) == [(0, 4, 0), (1, 2, 2), (2, 2, 0)]
+    calls.clear()
+    intersect_list(a, b)
+    assert sorted(calls) == sorted(a.vectors + b.vectors)
+
+
 @pytest.mark.parametrize("inner", [kdtree, sharingtree, cst],
                          ids=["kdtree", "sharingtree", "cst"])
 def test_operands_of_at_most_one_member_build_no_index(inner):
@@ -333,10 +366,18 @@ def test_operands_of_at_most_one_member_build_no_index(inner):
                 assert core.member(index, ac, u, got) == member_list(ac, u, want)
                 assert (index.builds, index.members) == (0, 0)
                 assert (got.comparisons, got.node_visits) == (want.comparisons, 0)
-                # the backend's own search of such a set counts the same
+                # the list query counts as the cut-and-scan reference; the
+                # backend's own search of such a set keeps the one-way scan's
+                # count, which the list's equals unless u is lexicographically
+                # above the member, where the list's one probe answers
+                assert want.comparisons == cut_scan(ac.vectors, u)[1]
                 direct = Stats()
                 inner.member(inner.build(ac), u, direct)
-                assert direct.comparisons == want.comparisons
+                assert direct.comparisons == sum(scan_count(u, v)[1] for v in ac.vectors)
+                if ac.vectors and u > ac.vectors[0]:
+                    assert want.comparisons == 1
+                else:
+                    assert direct.comparisons == want.comparisons
         for op, op_list in ((core.union, union_list), (core.intersect, intersect_list)):
             index, got, want = _CountingIndex(inner), Stats(), Stats()
             result = op(index, a, b, got)
@@ -410,6 +451,103 @@ def test_member_list_agrees_with_enumeration():
             assert member_list(a, u) == brute_member(a.vectors, u)
 
 
+def _tied_antichain(rng, k, m):
+    """An antichain of at most m members whose first components lie in 0..2,
+    so many members tie on component 0."""
+    return Antichain([tuple([rng.randint(0, 2)] + [rng.randint(0, 7) for _ in range(k - 1)])
+                      for _ in range(m)], dim=k)
+
+
+def _list_cases(rng):
+    """Random and component-0-tied antichains with k = 1..7, and the empty
+    set, each with queries among, above and below its members."""
+    for k in range(1, 8):
+        sets = [Antichain((), dim=k)]
+        for _ in range(20):
+            sets.append(rand_antichain(rng, k, rng.randint(1, 40), rng.randint(1, 9)))
+            sets.append(_tied_antichain(rng, k, rng.randint(1, 40)))
+        for a in sets:
+            top = max((x for v in a.vectors for x in v), default=0)
+            queries = [tuple(rng.randint(0, top + 1) for _ in range(k)) for _ in range(30)]
+            queries += [(0,) * k, (top + 1,) * k, (top + 1,) + (0,) * (k - 1)]
+            queries += [v for v in a.vectors[::3]]
+            queries += [v[:-1] + (v[-1] + 1,) for v in a.vectors[1::3]]
+            yield a, queries
+
+
+def test_list_query_counts_the_cut_and_the_scan_from_it():
+    # verdicts against brute force, counts against the definition-level
+    # reference: the binary search's probes, then the scans from component 1
+    rng = random.Random(53)
+    queries = 0
+    for a, us in _list_cases(rng):
+        for u in us:
+            s = Stats()
+            found = member_list(a, u, s)
+            assert found == brute_member(a.vectors, u)
+            assert (found, s.comparisons) == cut_scan(a.vectors, u)
+            assert (s.comparisons > 0) == bool(a.vectors)
+            queries += 1
+    assert queries > 10_000
+
+
+def _pairwise_reference(uniq):
+    """The pairwise reduction by definition: each vector, in descending
+    lexicographic order, is tested against the kept ones on its tails and
+    kept unless one dominates it."""
+    kept, count = [], 0
+    for v in uniq:
+        for c in kept:
+            dominated, n = scan_count(v[1:], c[1:])
+            count += n
+            if dominated:
+                break
+        else:
+            kept.append(v)
+    return sorted(kept), count
+
+
+def test_pairwise_reduction_counts_its_scans_from_component_1():
+    rng = random.Random(59)
+    for k in range(1, 8):
+        for _ in range(40):
+            m = rng.randint(0, core._BITSET_MIN - 1)
+            first = rng.choice((2, 9))  # 2: many ties on component 0
+            vs = {tuple([rng.randint(0, first)] + [rng.randint(0, 5) for _ in range(k - 1)])
+                  for _ in range(m)}
+            uniq = sorted(vs, reverse=True)
+            s = Stats()
+            kept = core._max_of_pairwise(uniq, s)
+            assert (kept, s.comparisons) == _pairwise_reference(uniq)
+            assert kept == sorted(v for v in vs
+                                  if not any(w != v and all(x <= y for x, y in zip(v, w)) for w in vs))
+
+
+def test_list_setop_counts_are_the_sum_of_their_queries():
+    # a union queries each unshared member; an intersection queries every
+    # member and then reduces the meets of the members neither downset holds
+    rng = random.Random(61)
+    for a, b in list(small_antichains(rng, 60, k_hi=7, m_hi=6)) + list(shared_pairs(rng, 15)):
+        s = Stats()
+        union_list(a, b, s)
+        want = sum(cut_scan(b.vectors, u)[1] for u in a.vectors if u not in b.vectors)
+        want += sum(cut_scan(a.vectors, v)[1] for v in b.vectors if v not in a.vectors)
+        assert s.comparisons == want
+        found_a = [cut_scan(b.vectors, u) for u in a.vectors]
+        found_b = [cut_scan(a.vectors, v) for v in b.vectors]
+        rest_a = [u for u, (f, _) in zip(a.vectors, found_a) if not f]
+        rest_b = [v for v, (f, _) in zip(b.vectors, found_b) if not f]
+        candidates = [u for u, (f, _) in zip(a.vectors, found_a) if f]
+        candidates += [v for v, (f, _) in zip(b.vectors, found_b) if f]
+        candidates += [meet(u, v) for u in rest_a for v in rest_b]
+        uniq = sorted(set(candidates), reverse=True)
+        assert len(uniq) < core._BITSET_MIN
+        kept, reduction = _pairwise_reference(uniq)
+        s = Stats()
+        assert intersect_list(a, b, s).vectors == tuple(kept)
+        assert s.comparisons == sum(c for _, c in found_a + found_b) + reduction
+
+
 def test_antichain_construction_canonicalizes():
     ac = Antichain([(1, 1), (0, 1), (1, 1), (2, 2)])
     assert ac.vectors == ((2, 2),)
@@ -455,11 +593,12 @@ def test_antichain_contains_members_only():
 
 def test_list_setop_comparison_counts_are_pinned():
     # counts of the list backend on one seeded pair; they must not drift when
-    # the shared set operations change
+    # the shared set operations change.  The queries scan from the
+    # lexicographic cut, and the reduction from component 1
     rng = random.Random(2025)
     a = rand_antichain(rng, 5, 30, 9)
     b = rand_antichain(rng, 5, 30, 9)
-    for op, expected in ((union_list, 2476), (intersect_list, 2766)):
+    for op, expected in ((union_list, 1238), (intersect_list, 1528)):
         s = Stats()
         op(a, b, s)
         assert s.comparisons == expected, op.__name__

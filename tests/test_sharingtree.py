@@ -383,13 +383,15 @@ def test_chain_boundaries_match_list_oracle(k):
 
 def test_sharing_tree_counts_are_pinned():
     # counts of the sharing-tree backend on seeded bench rows (k=6, t=10 and
-    # 40), as for the k-d tree; cst builds and searches the same trees
+    # 40), as for the k-d tree; cst builds and searches the same trees.  The
+    # intersection comparisons include the meets' reduction, whose pairwise
+    # scan at t=10 starts at component 1
     expected = {
         ("membership", "comparisons"): (380, 4649),
         ("membership", "node_visits"): (139, 1771),
         ("union", "comparisons"): (153, 2109),
         ("union", "node_visits"): (60, 846),
-        ("intersection", "comparisons"): (866, 6415),
+        ("intersection", "comparisons"): (731, 6415),
         ("intersection", "node_visits"): (127, 1635),
     }
     for (op, metric), values in expected.items():

@@ -3,7 +3,8 @@
 The oracles here are deliberately independent of the backend
 implementations: membership oracles enumerate, set oracles compare boxes
 pointwise, and the antichain generator and :func:`incomparable` check the
-order by definition, one component pair at a time.  ``tree_leaves``,
+order by definition, one component pair at a time; ``scan_count`` and
+``cut_scan`` count what a dominance test and a list query pay.  ``tree_leaves``,
 ``cpre_step``, ``reference_solve`` and ``reference_strategy`` instead reach
 into the k-d tree and the parity solver for structural tests.
 ``bwd_counter`` and ``full_bwd`` write the counters' backward update out
@@ -39,11 +40,40 @@ def incomparable(u, v):
 def scan_count(u, v):
     """Does ``v`` dominate ``u``, and what does the one-way scan pay to say
     so?  ``(False, j + 1)`` for the first ``j`` with ``u[j] > v[j]``, else
-    ``(True, k)``: the oracle for every counted dominance test."""
+    ``(True, k)``: the oracle for a tree backend's counted dominance test,
+    and, on the vectors' tails, for the list's (:func:`cut_scan`)."""
     for j, (a, b) in enumerate(zip(u, v)):
         if a > b:
             return False, j + 1
     return True, len(u)
+
+
+def cut_scan(vectors, u):
+    """Does a member of the sorted ``vectors`` dominate ``u``, and what does
+    the list's query pay to say so?
+
+    The cut is the number of members lexicographically below ``u``, counted
+    by definition; the binary search's probes are the halvings of
+    ``[0, len(vectors))`` that close on that position, one comparison each.
+    Each member from the cut on pays the one-way scan of its components
+    from 1 on (:func:`scan_count` of the tails), until the first dominator:
+    the oracle for ``member_list``'s count.
+    """
+    cut = sum(v < u for v in vectors)
+    lo, hi, count = 0, len(vectors), 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        count += 1
+        if mid < cut:
+            lo = mid + 1
+        else:
+            hi = mid
+    for v in vectors[cut:]:
+        dominated, c = scan_count(u[1:], v[1:])
+        count += c
+        if dominated:
+            return True, count
+    return False, count
 
 
 def box_points(k, top):
